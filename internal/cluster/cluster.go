@@ -278,6 +278,7 @@ type Cluster struct {
 	admit  admitter
 	faults *instanceFaults // compiled fault timelines; nil when fault-free
 	rng    *rand.Rand      // arrival/identity/demand stream, owned by Run
+	gap    wspec.Sampler   // Poisson inter-arrival gaps at Spec.Rate
 	ran    bool
 }
 
@@ -348,17 +349,6 @@ func (c *Cluster) Shutdown() {
 	}
 }
 
-// expGap draws one exponential inter-arrival gap (mean 1/rate virtual
-// seconds) quantized to the microsecond clock with a 1us floor, so the
-// fleet arrival clock is strictly increasing.
-func expGap(rng *rand.Rand, rate float64) vclock.Duration {
-	d := vclock.Duration(rng.ExpFloat64() / rate * 1e6)
-	if d < vclock.Microsecond {
-		d = vclock.Microsecond
-	}
-	return d
-}
-
 // drawUser picks the arriving user, honoring the hot-user skew.
 func (c *Cluster) drawUser(rng *rand.Rand) int {
 	s := c.spec
@@ -426,6 +416,10 @@ func (c *Cluster) Run() (*Summary, error) {
 	}
 	c.ran = true
 	c.rng = rand.New(rand.NewSource(c.spec.Seed))
+	// The spec package's Poisson sampler: exponential gaps with mean
+	// 1/Rate, quantized to the microsecond clock with a 1us floor, so
+	// the fleet arrival clock is strictly increasing.
+	c.gap = (&wspec.Arrival{Process: wspec.ProcPoisson, Rate: c.spec.Rate}).GapSampler()
 	if c.spec.resilient() {
 		return c.runResilient()
 	}
@@ -476,7 +470,7 @@ func (c *Cluster) Run() (*Summary, error) {
 		}
 	} else {
 		for k := int64(0); k < s.Requests; k++ {
-			t = t.Add(expGap(rng, s.Rate))
+			t = t.Add(c.gap(rng))
 			offered++
 			if !c.admit.Admit(t) {
 				rejected++

@@ -261,7 +261,7 @@ func (c *Cluster) runResilient() (*Summary, error) {
 		r.push(t0, &clientEvent{kind: evProbe})
 	}
 	if s.Requests > 0 {
-		r.push(t0.Add(expGap(rng, s.Rate)), &clientEvent{kind: evArrival})
+		r.push(t0.Add(c.gap(rng)), &clientEvent{kind: evArrival})
 	}
 
 	for {
@@ -479,7 +479,6 @@ func (r *resilientRun) hedgeDelay() vclock.Duration {
 // --- event handlers --------------------------------------------------
 
 func (r *resilientRun) onArrival(t vclock.Time) {
-	s := r.c.spec
 	r.pendingArrivals--
 	r.offered++
 	// Same fixed per-arrival draw order as the legacy path: admission
@@ -498,7 +497,7 @@ func (r *resilientRun) onArrival(t vclock.Time) {
 		r.dispatch(req, -1, false, t)
 	}
 	if r.pendingArrivals > 0 {
-		r.push(t.Add(expGap(r.c.rng, s.Rate)), &clientEvent{kind: evArrival})
+		r.push(t.Add(r.c.gap(r.c.rng)), &clientEvent{kind: evArrival})
 	}
 }
 

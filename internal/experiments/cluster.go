@@ -12,8 +12,8 @@ import (
 // simulations behind routing and admission control, reporting aggregate
 // SLOs. Where the W series scales one world up, the C series scales the
 // number of worlds out — the ROADMAP's production-fleet framing. Like
-// the W series it is opt-in only (threadstudy -cseries or -experiment
-// C1..C3), so the default output and its goldens never see it.
+// the W series it is opt-in only (threadstudy -series c), so the
+// default output and its goldens never see it.
 
 // clusterTable renders one summary per row: the shared C-series shape.
 func clusterTable(title string, sums []*cluster.Summary, label func(*cluster.Summary) string) *stats.Table {

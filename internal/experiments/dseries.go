@@ -15,8 +15,8 @@ import (
 // a protected fleet against an unprotected control AND against the
 // same-seed fault-free baseline, so both the cost of the fault and the
 // value of the mechanism are visible in one table. Like the W and C
-// series it is opt-in only (threadstudy -dseries or -experiment D1..D4);
-// the default output and its goldens never see it.
+// series it is opt-in only (threadstudy -series d); the default output
+// and its goldens never see it.
 //
 // Every spec pins Start explicitly, so the fault windows provably
 // overlap the arrival window in both quick and full runs, whatever the

@@ -15,8 +15,8 @@ import (
 // percentiles. Where the T/F/R series reproduce the paper's artifacts,
 // the W series measures the regime the ROADMAP points at — "heavy traffic
 // from millions of users" — on the same scheduler model. The series runs
-// only behind threadstudy -wseries (or -experiment W1..W3), keeping the
-// default experiment list and its golden stdout untouched.
+// only behind threadstudy -series w, keeping the default experiment
+// list and its golden stdout untouched.
 
 // LoadSummary is the machine-readable face of a W-series run, attached
 // to the experiment's Metrics under "load" in -json/-bench output. All
@@ -156,14 +156,14 @@ func LoadMixed(cfg Config) *Report {
 	w, run := startSpec(cfg, sp)
 	defer w.Shutdown()
 	outcome := w.Run(vclock.Time(0).Add(run.Horizon))
-	m := run.Mixed
+	chunks := run.Open.BatchChunks()
 	s := run.Load()
 
 	c := &sp.Cohorts[0]
 	t := loadTable(fmt.Sprintf("Interactive: %d sessions at %.0f req/s over %d batch threads",
 		c.Sessions, c.Arrival.Rate, sp.Batch.Workers), s)
-	t.AddRowf("%s", "batch chunks completed", "%d", m.BatchChunks)
-	t.AddRowf("%s", "batch throughput", "%.0f chunks/s", float64(m.BatchChunks)/run.Horizon.Seconds())
+	t.AddRowf("%s", "batch chunks completed", "%d", chunks)
+	t.AddRowf("%s", "batch throughput", "%.0f chunks/s", float64(chunks)/run.Horizon.Seconds())
 	return &Report{ID: "W3", Title: "Mixed interactive and batch priorities under load (§6.2)",
 		Tables: []*stats.Table{t},
 		Notes: []string{
@@ -175,8 +175,8 @@ func LoadMixed(cfg Config) *Report {
 
 // WSeries returns the open-loop load experiments, in presentation order.
 // They are not part of All(): the W series runs only on explicit request
-// (threadstudy -wseries or -experiment W1..W3), so the default output and
-// its goldens are untouched by load-workload evolution.
+// (threadstudy -series w), so the default output and its goldens are
+// untouched by load-workload evolution.
 func WSeries() []Experiment {
 	return []Experiment{
 		{"W1", "Open-loop echo server under Poisson load", LoadEcho},

@@ -16,7 +16,7 @@ import (
 // minimum attainment across classes, the number a policy can only raise
 // by serving every class adequately rather than sacrificing one. Like
 // the W series, the S series runs only behind explicit request
-// (threadstudy -sseries or -experiment S1..S4), keeping the default
+// (threadstudy -series s), keeping the default
 // experiment list and its golden stdout untouched.
 
 // ClassSummary is one class's results under one policy. All latencies
@@ -235,10 +235,9 @@ func SchedPromptness(cfg Config) *Report {
 
 // SSeries returns the scheduling-policy experiments, in presentation
 // order. Like the W series, they are not part of All(): the S series
-// runs only on explicit request (threadstudy -sseries or -experiment
-// S1..S4), and it is deliberately kept out of the bench sweep so the
-// BENCH baseline's per-experiment event counts stay comparable across
-// PRs.
+// runs only on explicit request (threadstudy -series s), and it is
+// deliberately kept out of the bench sweep so the BENCH baseline's
+// per-experiment event counts stay comparable across PRs.
 func SSeries() []Experiment {
 	return []Experiment{
 		{"S1", "Scheduling-policy lab over an interactive/bulk/batch mix", SchedPolicyLab},

@@ -194,3 +194,23 @@ func TestRenderSVGEdges(t *testing.T) {
 		t.Errorf("not a complete SVG document: %q", got)
 	}
 }
+
+// TestLatencyRecorderAtMost counts samples at or under a target,
+// boundary included, in any insertion order.
+func TestLatencyRecorderAtMost(t *testing.T) {
+	var r LatencyRecorder
+	if r.AtMost(vclock.Second) != 0 {
+		t.Fatal("empty recorder counted samples")
+	}
+	for _, d := range []vclock.Duration{9, 3, 5, 5, 1} {
+		r.Add(d * vclock.Microsecond)
+	}
+	for _, tc := range []struct {
+		d    vclock.Duration
+		want int64
+	}{{0, 0}, {1, 1}, {4, 2}, {5, 4}, {9, 5}, {100, 5}} {
+		if got := r.AtMost(tc.d * vclock.Microsecond); got != tc.want {
+			t.Errorf("AtMost(%dus) = %d, want %d", tc.d, got, tc.want)
+		}
+	}
+}

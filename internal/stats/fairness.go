@@ -64,6 +64,15 @@ func (c *ClassLatency) Add(class string, d vclock.Duration) {
 	r.Add(d)
 }
 
+// Put installs r as the class's recorder, replacing any it had, without
+// copying: r stays live, so the class reads whatever r holds.
+func (c *ClassLatency) Put(class string, r *LatencyRecorder) {
+	if c.classes == nil {
+		c.classes = map[string]*LatencyRecorder{}
+	}
+	c.classes[class] = r
+}
+
 // Class returns the recorder for a class, or nil if the class has no
 // samples. The returned recorder is live: adding to it adds to c.
 func (c *ClassLatency) Class(name string) *LatencyRecorder {

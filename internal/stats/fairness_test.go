@@ -147,3 +147,24 @@ func TestClassLatencyPercentileGuards(t *testing.T) {
 		t.Errorf("out-of-range percentile = %v, want the maximum", got)
 	}
 }
+
+// TestClassLatencyPut: an installed recorder is live — later samples
+// show through the class — and replaces whatever the class held.
+func TestClassLatencyPut(t *testing.T) {
+	var c ClassLatency
+	c.Add("a", vclock.Millisecond)
+	var r LatencyRecorder
+	c.Put("a", &r)
+	if c.Class("a") != &r || c.Count() != 0 {
+		t.Fatalf("Put did not replace class a: count %d", c.Count())
+	}
+	r.Add(2 * vclock.Millisecond)
+	if got := c.Class("a").Max(); got != 2*vclock.Millisecond {
+		t.Errorf("class a max = %v, want the live recorder's 2ms", got)
+	}
+	var fresh ClassLatency
+	fresh.Put("b", &r)
+	if got := fresh.Classes(); !reflect.DeepEqual(got, []string{"b"}) {
+		t.Errorf("Put on the zero value: classes %v", got)
+	}
+}

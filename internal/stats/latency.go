@@ -45,6 +45,18 @@ func (r *LatencyRecorder) Merge(o *LatencyRecorder) {
 	r.sorted = false
 }
 
+// AtMost returns the number of samples no larger than d — the requests
+// that met a latency target of d.
+func (r *LatencyRecorder) AtMost(d vclock.Duration) int64 {
+	var n int64
+	for _, s := range r.samples {
+		if s <= d {
+			n++
+		}
+	}
+	return n
+}
+
 // Mean returns the average sample, or 0 if empty.
 func (r *LatencyRecorder) Mean() vclock.Duration {
 	if len(r.samples) == 0 {

@@ -12,11 +12,13 @@ import (
 	"repro/internal/workload/spec"
 )
 
-// These tests pin the API-redesign bridge: a workload compiled from its
-// spec document through StartSpec must reproduce the hand-parameterised
-// generator run event-for-event. EventsProcessed counts every scheduling
-// decision the world made, so equality there plus equal load stats is
-// byte-identity for everything the experiments report.
+// These tests pin the open-loop engine's traffic: a workload compiled
+// from its spec document through StartSpec must reproduce, event for
+// event, the run the hand-parameterised generators it replaced produced.
+// The pinned event counts and stats strings were recorded from those
+// generators. EventsProcessed counts every scheduling decision the world
+// made, so equality there plus equal load stats is byte-identity for
+// everything the experiments report.
 
 // quickShipped returns a shipped W-series spec scaled to test size.
 func quickShipped(t *testing.T, name string, scale func(*spec.Spec)) *spec.Spec {
@@ -57,26 +59,23 @@ func runSpec(t *testing.T, sp *spec.Spec, seed int64, opts SpecOptions) (int64, 
 	return w.EventsProcessed(), run.Load().String()
 }
 
+// expectRun fails the test unless a run reproduced its pinned traffic.
+func expectRun(t *testing.T, what string, events int64, stats string, wantEvents int64, wantStats string) {
+	t.Helper()
+	if events != wantEvents || stats != wantStats {
+		t.Errorf("%s moved:\n got:  %d events, %s\n want: %d events, %s",
+			what, events, stats, wantEvents, wantStats)
+	}
+}
+
 func TestSpecBridgeEcho(t *testing.T) {
 	sp := quickShipped(t, "w1", func(s *spec.Spec) {
 		s.Cohorts[0].Sessions = 200
 		s.Cohorts[0].Requests = 2000
 	})
-	c := sp.Cohorts[0]
-	w := sim.NewWorld(sim.Config{Seed: 3})
-	defer w.Shutdown()
-	e := StartEcho(w, EchoParams{
-		Sessions: c.Sessions, Requests: c.Requests, Rate: c.Arrival.Rate,
-		Service: c.ServiceMean(), Priority: c.SimPriority(),
-	})
-	w.Run(vclock.Time(0).Add(sp.Horizon()))
-	directEvents, directStats := w.EventsProcessed(), e.Finish().String()
-
-	specEvents, specStats := runSpec(t, sp, 3, SpecOptions{})
-	if specEvents != directEvents || specStats != directStats {
-		t.Errorf("spec-compiled W1 diverged from StartEcho:\n spec:   %d events, %s\n direct: %d events, %s",
-			specEvents, specStats, directEvents, directStats)
-	}
+	events, stats := runSpec(t, sp, 3, SpecOptions{})
+	expectRun(t, "W1", events, stats, 6394,
+		"offered=2000 completed=2000 threads=200 window=392.701ms rate=5093/s lat[n=2000 p50=55us p95=109us max=202us]")
 }
 
 func TestSpecBridgePipeline(t *testing.T) {
@@ -84,21 +83,9 @@ func TestSpecBridgePipeline(t *testing.T) {
 		s.Pipeline.Pipelines = 8
 		s.Pipeline.Requests = 1000
 	})
-	p := sp.Pipeline
-	w := sim.NewWorld(sim.Config{Seed: 3})
-	defer w.Shutdown()
-	pl := StartPipeline(w, PipelineParams{
-		Pipelines: p.Pipelines, Stages: p.Stages, Buffer: p.Buffer,
-		Requests: p.Requests, Rate: p.Rate, StageCost: vclock.Duration(p.StageCostUS),
-	})
-	w.Run(vclock.Time(0).Add(sp.Horizon()))
-	directEvents, directStats := w.EventsProcessed(), pl.Finish().String()
-
-	specEvents, specStats := runSpec(t, sp, 3, SpecOptions{})
-	if specEvents != directEvents || specStats != directStats {
-		t.Errorf("spec-compiled W2 diverged from StartPipeline:\n spec:   %d events, %s\n direct: %d events, %s",
-			specEvents, specStats, directEvents, directStats)
-	}
+	events, stats := runSpec(t, sp, 3, SpecOptions{})
+	expectRun(t, "W2", events, stats, 26902,
+		"offered=1000 completed=1000 threads=32 window=970.974ms rate=1030/s lat[n=1000 p50=258us p95=950us max=2.209ms]")
 }
 
 func TestSpecBridgeMixed(t *testing.T) {
@@ -108,35 +95,33 @@ func TestSpecBridgeMixed(t *testing.T) {
 		s.Batch.Workers = 8
 		s.HorizonUS = (5 * vclock.Second).Micros()
 	})
-	c := sp.Cohorts[0]
 	w := sim.NewWorld(sim.Config{Seed: 3, SystemDaemon: sp.SystemDaemon})
 	defer w.Shutdown()
-	m := StartMixed(w, MixedParams{
-		Interactive: c.Sessions, Batch: sp.Batch.Workers,
-		Requests: c.Requests, Rate: c.Arrival.Rate, Service: c.ServiceMean(),
-		BatchChunk: vclock.Duration(sp.Batch.ChunkUS), Horizon: sp.Horizon(),
-	})
-	w.Run(vclock.Time(0).Add(sp.Horizon()))
-	directEvents := w.EventsProcessed()
-	directStats := m.Finish().String()
-	directChunks := m.BatchChunks
-
-	w2 := sim.NewWorld(sim.Config{Seed: 3, SystemDaemon: sp.SystemDaemon})
-	defer w2.Shutdown()
-	run, err := StartSpec(w2, sp, SpecOptions{})
+	run, err := StartSpec(w, sp, SpecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2.Run(vclock.Time(0).Add(run.Horizon))
-	if got, want := w2.EventsProcessed(), directEvents; got != want {
-		t.Errorf("spec-compiled W3 event count %d != direct %d", got, want)
+	w.Run(vclock.Time(0).Add(run.Horizon))
+	expectRun(t, "W3", w.EventsProcessed(), run.Load().String(), 34495,
+		"offered=4000 completed=4000 threads=72 window=1.989585s rate=2010/s lat[n=4000 p50=100us p95=764us max=5.388ms]")
+	if got := run.Open.BatchChunks(); got != 22167 {
+		t.Errorf("W3 batch chunks %d, want 22167", got)
 	}
-	if got, want := run.Load().String(), directStats; got != want {
-		t.Errorf("spec-compiled W3 stats diverged:\n spec:   %s\n direct: %s", got, want)
-	}
-	if run.Mixed.BatchChunks != directChunks {
-		t.Errorf("spec-compiled W3 batch chunks %d != direct %d", run.Mixed.BatchChunks, directChunks)
-	}
+}
+
+// livePins are the seed-3 runs of specsUnderTest, by spec name.
+var livePins = map[string]struct {
+	events int64
+	stats  string
+}{
+	"w1-echo":     {3194, "offered=1000 completed=1000 threads=100 window=201.017ms rate=4975/s lat[n=1000 p50=55us p95=109us max=202us]"},
+	"w2-pipeline": {10683, "offered=400 completed=400 threads=16 window=401.379ms rate=997/s lat[n=400 p50=258us p95=840us max=1.356ms]"},
+	"w3-mixed":    {13571, "offered=1500 completed=1500 threads=36 window=745.167ms rate=2013/s lat[n=1500 p50=100us p95=741us max=5.35ms]"},
+	"slo-mix": {5114, "threads=14" +
+		" batch[off=2114 done=2112 ontime=2095 lat=n=2112 p50=1ms p95=10.757ms max=59.433ms]" +
+		" fast[off=800 done=800 ontime=800 lat=n=800 p50=550us p95=1.026ms max=2.099ms]" +
+		" slow[off=200 done=200 ontime=200 lat=n=200 p50=2.65ms p95=6.417ms max=9.433ms]"},
+	"general": {6131, "offered=2150 completed=2150 threads=20 window=1.500781s rate=1433/s lat[n=2150 p50=573us p95=6.154ms max=23.325ms]"},
 }
 
 // specsUnderTest returns one spec per replayable kind, test-sized.
@@ -188,8 +173,8 @@ func specsUnderTest(t *testing.T) []*spec.Spec {
 	}
 }
 
-// TestRecordReplayRoundTrip is the trace contract, per kind: a recorded
-// run replayed — even in a world seeded differently — reproduces the
+// TestRecordReplayRoundTrip is the trace contract, per kind: a run
+// reproduces its pinned traffic, and the recorded run replayed — even in a world seeded differently — reproduces the
 // same event sequence and stats, and re-recording the replay reproduces
 // the trace byte-for-byte.
 func TestRecordReplayRoundTrip(t *testing.T) {
@@ -201,6 +186,8 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 			if len(rec.Entries) == 0 {
 				t.Fatal("recorded no entries")
 			}
+			pin := livePins[sp.Name]
+			expectRun(t, sp.Name, liveEvents, liveStats, pin.events, pin.stats)
 
 			// Same seed, replayed: identical world, identical trace.
 			rerec := spec.NewTrace(sp.Name, 3)
@@ -265,6 +252,8 @@ func TestStartSpecRejects(t *testing.T) {
 				spec.Entry{AtUS: 5, Cohort: "a", Session: 0, ServiceUS: 5},
 				spec.Entry{AtUS: 5, Cohort: "a", Session: 1, ServiceUS: 5})},
 		{"trace missing a cohort", valid(), withTrace()},
+		{"trace demand not positive", valid(),
+			withTrace(spec.Entry{AtUS: 1, Cohort: "a", Session: 0, ServiceUS: 0})},
 		{"server kind replay", &spec.Spec{Schema: spec.Schema, Name: "srv", Kind: spec.KindServer,
 			Cohorts: []spec.Cohort{{Name: "s", Sessions: 2}}},
 			withTrace(spec.Entry{AtUS: 1, Cohort: "s", Session: 0, ServiceUS: 5})},
@@ -281,5 +270,41 @@ func TestStartSpecRejects(t *testing.T) {
 				t.Errorf("error does not wrap ErrInvalidSpec: %v", err)
 			}
 		})
+	}
+}
+
+// TestReplayTakesRecordedDemand: replay serves each request at the
+// trace's recorded demand, not the spec's constant — editing the trace's
+// svc moves the replayed latencies while the arrivals stay put.
+func TestReplayTakesRecordedDemand(t *testing.T) {
+	sp := quickShipped(t, "w1", func(s *spec.Spec) {
+		s.Cohorts[0].Sessions = 50
+		s.Cohorts[0].Requests = 500
+	})
+	rec := spec.NewTrace(sp.Name, 3)
+	runSpec(t, sp, 3, SpecOptions{Record: rec})
+	edited := spec.NewTrace(sp.Name, 3)
+	for _, e := range rec.Entries {
+		e.ServiceUS *= 40
+		edited.Entries = append(edited.Entries, e)
+	}
+
+	w := sim.NewWorld(sim.Config{Seed: 3})
+	defer w.Shutdown()
+	rerec := spec.NewTrace(sp.Name, 3)
+	run, err := StartSpec(w, sp, SpecOptions{Replay: edited, Record: rerec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Run(vclock.Time(0).Add(run.Horizon))
+	s := run.Load()
+	if s.Completed != 500 {
+		t.Fatalf("replay completed %d of 500", s.Completed)
+	}
+	if min := s.Latency.Percentile(0); min < 200*vclock.Microsecond {
+		t.Errorf("replayed min latency %v below the edited 200us demand", min)
+	}
+	if !bytes.Equal(edited.Bytes(), rerec.Bytes()) {
+		t.Errorf("re-recorded trace lost the edited demands")
 	}
 }

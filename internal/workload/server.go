@@ -7,14 +7,14 @@ import (
 	"repro/internal/vclock"
 )
 
-// This file holds the externally-driven request server the cluster layer
-// routes into. W1's EchoServer owns its whole arrival process — it draws
-// inter-arrival gaps and picks sessions itself, which is the right shape
-// for a single-world experiment but the wrong one for a fleet: there the
-// arrival process, the routing decision, and the admission decision all
-// live *outside* any one world, in the cluster. Server is the passive
-// half of that split: a session-thread pool that serves whatever requests
-// an outside driver injects, each with an explicit service demand.
+// This file holds Server, the one session pool: the general pump of the
+// paper's §4 (Table 4), a population of eternal server threads each
+// draining its own request queue. Server is passive — it serves whatever
+// an outside driver injects, each request with an explicit service
+// demand. Two drivers feed it: the cluster layer, which owns the fleet's
+// arrival, routing and admission decisions, and the open-loop engine
+// (openloop.go), which feeds one pool per spec cohort from that cohort's
+// arrival stream.
 
 // NameTable interns per-session thread names so a fleet of N instances
 // shares one table of S strings instead of allocating N×S copies —
@@ -65,12 +65,18 @@ type Completion struct {
 	OK    bool
 }
 
-// srvSession is one session thread plus its driver-owned request queue,
-// the same interrupt-handler-posts-to-server-thread shape as W1.
+// srvSession is one session thread plus its driver-owned request queue:
+// an interrupt handler posting work to a server thread. The driver and
+// the session mutate the queue under the simulator's
+// one-goroutine-at-a-time discipline.
 type srvSession struct {
 	th   *sim.Thread
 	q    []srvReq
 	head int
+	// out, when set, makes the session a pipeline's stage 0: it hands
+	// each served request on to the next stage instead of completing it,
+	// and closes that stage when it exits so shutdown ripples down.
+	out *loadBuffer
 }
 
 // Server is an externally-driven session pool. All methods must be
@@ -97,6 +103,12 @@ type Server struct {
 	dropped    int64
 	cancelled  int64
 	failed     int64
+
+	// stamp, when set, refreshes a session's scheduler-visible metadata
+	// from its pending queue — on each injection, after each completion
+	// and when the queue empties. The slo kind stamps deadlines and
+	// service estimates through it.
+	stamp func(th *sim.Thread, pending []srvReq)
 }
 
 // StartServer spawns sessions session threads at prio, naming them from
@@ -110,13 +122,19 @@ func StartServer(w *sim.World, names *NameTable, sessions int, prio sim.Priority
 		prio = sim.PriorityNormal
 	}
 	s := &Server{w: w}
-	s.Stats.Threads = sessions
 	for i := 0; i < sessions; i++ {
-		sess := &srvSession{}
-		sess.th = w.Spawn(names.Name(i), prio, s.sessionBody(sess))
-		s.sessions = append(s.sessions, sess)
+		s.spawn(names.Name(i), prio)
 	}
 	return s
+}
+
+// spawn adds one session thread to the pool.
+func (s *Server) spawn(name string, prio sim.Priority) *srvSession {
+	sess := &srvSession{}
+	sess.th = s.w.Spawn(name, prio, s.sessionBody(sess))
+	s.sessions = append(s.sessions, sess)
+	s.Stats.Threads++
+	return sess
 }
 
 // Sessions returns the pool size.
@@ -140,6 +158,9 @@ func (s *Server) Inject(i int, service vclock.Duration) {
 	}
 	sess := s.sessions[i%len(s.sessions)]
 	sess.q = append(sess.q, srvReq{born: now, service: service})
+	if s.stamp != nil {
+		s.stamp(sess.th, sess.q[sess.head:])
+	}
 	s.Stats.Offered++
 	s.pending++
 	s.w.WakeIfBlocked(sess.th, nil)
@@ -162,7 +183,13 @@ func (s *Server) sessionBody(sess *srvSession) sim.Proc {
 		for {
 			if sess.head == len(sess.q) {
 				sess.q, sess.head = sess.q[:0], 0
+				if s.stamp != nil {
+					s.stamp(t, nil)
+				}
 				if s.closed {
+					if sess.out != nil {
+						sess.out.close(t)
+					}
 					return nil
 				}
 				t.Block(sim.BlockCV)
@@ -187,6 +214,10 @@ func (s *Server) sessionBody(sess *srvSession) sim.Proc {
 			}
 			t.Compute(req.service)
 			s.pending--
+			if sess.out != nil {
+				sess.out.put(t, req.born)
+				continue
+			}
 			if req.tracked {
 				delete(s.cancelSet, req.token)
 				ok := !s.down && req.epoch == s.epoch
@@ -198,11 +229,19 @@ func (s *Server) sessionBody(sess *srvSession) sim.Proc {
 					continue
 				}
 			}
-			s.Stats.Completed++
-			s.Stats.Latency.Add(t.Now().Sub(req.born))
-			s.lastDone = t.Now()
+			s.complete(t.Now(), req.born)
+			if s.stamp != nil {
+				s.stamp(t, sess.q[sess.head:])
+			}
 		}
 	}
+}
+
+// complete books one request born at born and served at now.
+func (s *Server) complete(now, born vclock.Time) {
+	s.Stats.Completed++
+	s.Stats.Latency.Add(now.Sub(born))
+	s.lastDone = now
 }
 
 // InjectTracked posts one request like Inject, stamped with the driver's

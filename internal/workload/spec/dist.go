@@ -12,10 +12,12 @@ import (
 // simulator's microsecond clock with a 1us floor exactly like the
 // historical expDelay, so same-instant storms cannot form by rounding.
 //
-// The Poisson sampler reproduces expDelay's draw byte-for-byte (one
-// ExpFloat64 per gap): that identity is what lets the shipped W-series
-// specs compile to the same arrival sequences the hardcoded generators
-// produced, which the bridge tests and the bench event-count gate pin.
+// The Poisson sampler reproduces the historical generators' expDelay
+// draw byte-for-byte (one ExpFloat64 per gap): that identity is what
+// lets the shipped W-series specs compile to the same arrival sequences
+// the hardcoded generators produced, which the goldens, the bridge
+// tests' recorded runs and the bench event-count gate pin. The cluster's
+// fleet arrival clock draws from it too.
 
 // Sampler draws one duration from a distribution.
 type Sampler func(*rand.Rand) vclock.Duration
