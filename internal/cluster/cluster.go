@@ -513,16 +513,16 @@ type InstanceSummary struct {
 // The advance shard count is deliberately absent: it must not — and
 // therefore cannot — appear in the output.
 type Summary struct {
-	Preset      string            `json:"preset"`
-	Instances   int               `json:"instances"`
-	Sessions    int               `json:"sessions_per_instance"`
-	Router      string            `json:"router"`
-	Admission   string            `json:"admission"`
-	Seed        int64             `json:"seed"`
-	Offered   int64 `json:"offered"`
-	Admitted  int64 `json:"admitted"`
-	Rejected  int64 `json:"rejected"`
-	Completed int64 `json:"completed"`
+	Preset    string `json:"preset"`
+	Instances int    `json:"instances"`
+	Sessions  int    `json:"sessions_per_instance"`
+	Router    string `json:"router"`
+	Admission string `json:"admission"`
+	Seed      int64  `json:"seed"`
+	Offered   int64  `json:"offered"`
+	Admitted  int64  `json:"admitted"`
+	Rejected  int64  `json:"rejected"`
+	Completed int64  `json:"completed"`
 	// Graceful-degradation buckets. Every offered request lands in
 	// exactly one: offered == rejected + shed + failed + degraded +
 	// goodput. On the legacy (fault-free, fire-and-forget) path goodput

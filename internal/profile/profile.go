@@ -20,6 +20,9 @@
 package profile
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vclock"
@@ -821,29 +824,15 @@ func (p *Profiler) Finish(end vclock.Time) *Profile {
 	}
 	prof.Monitors = append(prof.Monitors, p.monOrder...)
 	prof.CVs = append(prof.CVs, p.cvOrder...)
-	sortMonitors(prof.Monitors)
-	sortCVs(prof.CVs)
+	// Ascending ID is allocation order. IDs are unique within a profile
+	// (monitor and cv create one record per ID), so an unstable sort
+	// gives the one possible order.
+	slices.SortFunc(prof.Monitors, func(a, b *MonitorProfile) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(prof.CVs, func(a, b *CVProfile) int { return cmp.Compare(a.ID, b.ID) })
 	prof.Spans = p.spans
 	p.finished = true
 	p.result = prof
 	return prof
-}
-
-// sortMonitors orders by ascending ID (allocation order).
-func sortMonitors(ms []*MonitorProfile) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && ms[j-1].ID > ms[j].ID; j-- {
-			ms[j-1], ms[j] = ms[j], ms[j-1]
-		}
-	}
-}
-
-func sortCVs(cs []*CVProfile) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j-1].ID > cs[j].ID; j-- {
-			cs[j-1], cs[j] = cs[j], cs[j-1]
-		}
-	}
 }
 
 func itoa32(v int32) string {

@@ -151,8 +151,10 @@ func BenchmarkBatchAdmission(b *testing.B) {
 	}
 }
 
-// TestHotPathAllocs pins the steady-state allocation counts of the three
-// hot paths to exactly zero. `make bench` runs this test alongside the
+// TestHotPathAllocs pins the steady-state allocation counts of the hot
+// paths — event loop, ready queues, discard tracing, wheel
+// schedule/cancel, batch admission and the park/resume handoff — to
+// exactly zero. `make bench` runs this test alongside the
 // benchmarks, so an allocation slipping back into the hot path fails CI
 // rather than silently eroding the throughput win.
 func TestHotPathAllocs(t *testing.T) {
@@ -247,5 +249,33 @@ func TestHotPathAllocs(t *testing.T) {
 	if drained-before != 10*batchN+batchN {
 		// AllocsPerRun does runs+1 invocations (one extra warmup call).
 		t.Errorf("batch admission drained %d events, want %d", drained-before, 11*batchN)
+	}
+
+	// Park/resume handoff: two threads ping-pong through Yield, each
+	// yield parking one coroutine and resuming the other.
+	pp := NewWorld(Config{SwitchCost: -1, TimeoutGranularity: 1})
+	defer pp.Shutdown()
+	yields := 0
+	for i := 0; i < 2; i++ {
+		pp.Spawn("pingpong", PriorityNormal, func(th *Thread) any {
+			for {
+				th.Compute(vclock.Microsecond)
+				th.Yield()
+				yields++
+			}
+		})
+	}
+	ppHorizon := vclock.Time(0)
+	pingPong := func() {
+		ppHorizon = ppHorizon.Add(100 * vclock.Microsecond)
+		pp.Run(ppHorizon)
+	}
+	pingPong() // start both coroutines
+	before = yields
+	if got := testing.AllocsPerRun(10, pingPong); got != 0 {
+		t.Errorf("handoff: %.1f allocs per 100us of ping-pong, want 0", got)
+	}
+	if yields-before < 11*50 {
+		t.Errorf("handoff ping-pong yielded %d times in 11 runs, want >= %d", yields-before, 11*50)
 	}
 }

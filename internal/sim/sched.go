@@ -12,7 +12,7 @@ import (
 // every CPU either is idle with an empty run queue, or runs the thread
 // strict-priority dispatch (as modified by any boost) selects, with that
 // thread's pending compute scheduled as a completion event. Threads whose
-// goroutines have instantaneous work to do are pumped until they park
+// coroutines have instantaneous work to do are pumped until they park
 // again. The driver calls settle after every event.
 func (w *World) settle() {
 	for {
@@ -268,14 +268,10 @@ func (w *World) quantumFor(t *Thread) vclock.Duration {
 	return q
 }
 
-// pump resumes t's goroutine, waits for it to park again, and applies the
-// state transition it requested.
+// pump resumes t, which runs until it parks again or its body ends,
+// and applies the state transition it requested.
 func (w *World) pump(t *Thread) {
-	t.resume <- struct{}{}
-	parked := <-w.yield
-	if parked != t {
-		panic(fmt.Sprintf("sim: pumped %s but %s parked", t.name, parked.name))
-	}
+	t.step()
 	w.afterPark(t)
 }
 

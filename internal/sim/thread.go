@@ -100,8 +100,11 @@ type Thread struct {
 	result   any
 	err      error
 
+	// The thread body runs on a coroutine (handoff.go): the driver
+	// calls step, and the thread parks by calling co.yield, which
+	// returns control from that step call.
 	body    Proc
-	resume  chan struct{}
+	co      *coroutine
 	started bool
 	killed  bool
 }
@@ -189,23 +192,22 @@ func (t *Thread) String() string {
 	return fmt.Sprintf("t%d(%s pri=%d %v)", t.id, t.name, t.pri, t.state)
 }
 
-// main is the goroutine body wrapping the thread's Proc.
+// main runs the thread's Proc on its coroutine. It starts at the
+// thread's first dispatch and its return is the final handoff: the
+// driver's step call returns. It recovers every panic, so none ever
+// propagates to the driver.
 func (t *Thread) main() {
 	defer func() {
 		if r := recover(); r != nil {
 			if r == killSignal {
-				t.finished = true
-				t.w.yield <- t // hand control back to Shutdown
+				t.finished = true // returning hands control back to Shutdown
 				return
 			}
 			// An uncaught error: the thread dies (paper §4.5); JOIN
 			// observes the error.
 			t.exit(nil, &PanicError{Thread: t.name, Value: r})
-			t.w.yield <- t
-			return
 		}
 	}()
-	<-t.resume // first dispatch
 	t.started = true
 	if t.killed {
 		panic(killSignal)
@@ -216,7 +218,6 @@ func (t *Thread) main() {
 	}
 	res := t.body(t)
 	t.exit(res, nil)
-	t.w.yield <- t // final handoff; goroutine ends
 }
 
 // exit performs end-of-life bookkeeping in thread context (which is
@@ -249,8 +250,7 @@ func (t *Thread) exit(result any, err error) {
 // resumes this thread. Every operation that consumes time or gives up the
 // CPU funnels through here.
 func (t *Thread) park() {
-	t.w.yield <- t
-	<-t.resume
+	t.co.yield(struct{}{})
 	if t.killed {
 		panic(killSignal)
 	}

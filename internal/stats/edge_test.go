@@ -58,6 +58,51 @@ func TestLatencyRecorderEdges(t *testing.T) {
 	}
 }
 
+// Grow only reserves room: before, between and after samples it changes
+// no count, sum or percentile, a sorted recorder stays sorted, and a
+// reservation of n takes n samples without reallocating.
+func TestLatencyRecorderGrow(t *testing.T) {
+	us := vclock.Microsecond
+	samples := []vclock.Duration{9 * us, 2 * us, 7 * us, 2 * us, 40 * us, 1 * us}
+	quantiles := []float64{0, 0.25, 0.5, 0.95, 0.99, 1}
+	plain, grown := &LatencyRecorder{}, &LatencyRecorder{}
+	grown.Grow(-1)
+	grown.Grow(0)
+	grown.Grow(3)
+	if cap(grown.samples) < 3 {
+		t.Fatalf("Grow(3) left cap %d", cap(grown.samples))
+	}
+	same := func(stage string) {
+		t.Helper()
+		if grown.Count() != plain.Count() || grown.Mean() != plain.Mean() || grown.sum != plain.sum {
+			t.Fatalf("%s: grown n=%d sum=%s, plain n=%d sum=%s",
+				stage, grown.Count(), grown.sum, plain.Count(), plain.sum)
+		}
+		for _, q := range quantiles {
+			if g, p := grown.Percentile(q), plain.Percentile(q); g != p {
+				t.Fatalf("%s: p%v = %s, want %s", stage, q, g, p)
+			}
+		}
+	}
+	same("empty")
+	backing := &grown.samples[:1][0]
+	for _, d := range samples[:3] {
+		grown.Add(d)
+		plain.Add(d)
+	}
+	if &grown.samples[0] != backing {
+		t.Fatalf("filling a Grow(3) reservation with 3 samples reallocated")
+	}
+	same("reserved")
+	grown.Grow(100) // on a sorted recorder, mid-stream
+	same("regrown")
+	for _, d := range samples[3:] {
+		grown.Add(d)
+		plain.Add(d)
+	}
+	same("filled")
+}
+
 // Merge must preserve exact nearest-rank percentiles: a recorder built
 // by merging per-instance recorders answers every quantile identically
 // to one fed the union of samples directly.

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/vclock"
@@ -24,6 +25,15 @@ func (r *LatencyRecorder) Add(d vclock.Duration) {
 	r.samples = append(r.samples, d)
 	r.sorted = false
 	r.sum += d
+}
+
+// Grow reserves room for n more samples, so a recorder whose sample
+// count is known up front fills without reallocating as it grows. It
+// changes no count, sum or percentile; n <= 0 is a no-op.
+func (r *LatencyRecorder) Grow(n int) {
+	if n > 0 {
+		r.samples = slices.Grow(r.samples, n)
+	}
 }
 
 // Count returns the number of samples.

@@ -66,13 +66,21 @@ func newOpenLoop(w *sim.World, tap RequestTap) *OpenLoop {
 	}}
 }
 
+// reserveMax caps the latency samples addStream reserves up front, so a
+// spec declaring an enormous request count cannot demand the memory for
+// it before a single request arrives.
+const reserveMax = 1 << 20
+
 // addStream registers a cohort's arrival stream. A non-nil replay drives
 // the stream from the recorded entries — their count, instants, session
-// picks and demands — with no RNG draws.
+// picks and demands — with no RNG draws. The pool's latency recorder
+// reserves room for the stream's declared requests, each of which books
+// at most one sample.
 func (l *OpenLoop) addStream(st *stream) {
 	if st.replay != nil {
 		st.requests = int64(len(st.replay))
 	}
+	st.pool.Stats.Latency.Grow(int(min(st.requests, reserveMax)))
 	st.next = func() { l.arrive(st) }
 	l.streams = append(l.streams, st)
 	l.live++
@@ -200,6 +208,11 @@ func (l *OpenLoop) Load() *LoadStats {
 		return s
 	}
 	agg := &LoadStats{Threads: l.threads}
+	n := 0
+	for _, st := range l.streams {
+		n += st.pool.Stats.Latency.Count()
+	}
+	agg.Latency.Grow(n)
 	var first, last vclock.Time
 	for _, st := range l.streams {
 		p := st.pool.Finish()
