@@ -63,15 +63,18 @@ bench:
 
 # Short coverage-guided fuzzing of the attacker-facing parsers — JSON
 # fault plans, JSON workload specs, and the binary trace codec (decode
-# robustness + encode/decode round trip) — plus the timing-wheel/
-# reference differential: random op streams must keep the hierarchical
-# wheel byte-for-byte equivalent to the naive sorted-list event queue.
+# robustness + encode/decode round trip) — plus two differentials:
+# random op streams must keep the hierarchical timing wheel
+# byte-for-byte equivalent to the naive sorted-list event queue, and
+# random sample streams must keep the two-heap running quantile equal to
+# LatencyRecorder's sorted nearest-rank percentile after every sample.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz FuzzPlanJSON -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run='^$$' -fuzz FuzzSpecJSON -fuzztime $(FUZZTIME) ./internal/workload/spec
 	$(GO) test -run='^$$' -fuzz FuzzRead'$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz FuzzEncodeDecode -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz FuzzWheelDifferential -fuzztime $(FUZZTIME) ./internal/eventq
+	$(GO) test -run='^$$' -fuzz FuzzRunningQuantile -fuzztime $(FUZZTIME) ./internal/stats
 
 # Bounded systematic schedule exploration over all registered scenarios.
 explore:

@@ -80,8 +80,9 @@ type Spec struct {
 	// queues empty. Zero selects 60 virtual seconds.
 	Drain vclock.Duration
 	// Shards is the advance parallelism: worlds are dealt round-robin
-	// onto this many goroutines at each barrier. Zero or one advances
-	// serially. Output is byte-identical at any shard count.
+	// onto this many goroutines, the driver's own plus Shards-1 workers
+	// that live for one Run. Zero or one advances serially. Output is
+	// byte-identical at any shard count.
 	Shards int
 	// Hooks carries observability seams (probe, profiler attachment)
 	// into every instance world. Observe-only hooks never change the
@@ -280,6 +281,12 @@ type Cluster struct {
 	rng    *rand.Rand      // arrival/identity/demand stream, owned by Run
 	gap    wspec.Sampler   // Poisson inter-arrival gaps at Spec.Rate
 	ran    bool
+
+	// Advance workers, live only inside Run (see startShards): work[s-1]
+	// carries barrier times to the worker owning shard s, and each
+	// worker answers every barrier with one done signal.
+	work []chan vclock.Time
+	done chan struct{}
 }
 
 // New builds the fleet: N worlds seeded Seed+f(id), each populated with
@@ -370,33 +377,61 @@ func (c *Cluster) drawService(rng *rand.Rand) vclock.Duration {
 	return s.Service
 }
 
-// advanceAll runs every instance world to t, dealing them round-robin
-// across the spec's advance shards. Instances are mutually independent
-// between barriers — no shared mutable state, each world advanced by
-// exactly one goroutine — so the shard count changes wall-clock time
-// only, never simulated state.
-func (c *Cluster) advanceAll(t vclock.Time) {
-	shards := c.spec.Shards
-	if shards > len(c.insts) {
-		shards = len(c.insts)
-	}
+// startShards starts the advance workers for one Run: with the worlds
+// dealt round-robin onto min(Shards, Instances) shards, shard s > 0 gets
+// a goroutine of its own that lives until the returned stop function
+// runs, and the driver goroutine advances shard 0 itself. stop closes
+// the workers' channels and waits for them to exit, so no worker
+// outlives Run on any return path, a panic included: done is buffered,
+// so a worker never blocks on a barrier the driver abandoned.
+func (c *Cluster) startShards() (stop func()) {
+	shards := min(c.spec.Shards, len(c.insts))
 	if shards <= 1 {
-		for _, in := range c.insts {
-			in.w.Run(t)
-		}
-		return
+		return func() {}
 	}
 	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
+	c.done = make(chan struct{}, shards-1)
+	for s := 1; s < shards; s++ {
+		work := make(chan vclock.Time)
+		c.work = append(c.work, work)
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
-			for i := s; i < len(c.insts); i += shards {
-				c.insts[i].w.Run(t)
+			for t := range work {
+				c.advanceShard(s, t)
+				c.done <- struct{}{}
 			}
-		}(s)
+		}()
 	}
-	wg.Wait()
+	return func() {
+		for _, work := range c.work {
+			close(work)
+		}
+		wg.Wait()
+	}
+}
+
+// advanceShard runs shard s's worlds — instances s, s+shards, ... — to t.
+func (c *Cluster) advanceShard(s int, t vclock.Time) {
+	for i, shards := s, len(c.work)+1; i < len(c.insts); i += shards {
+		c.insts[i].w.Run(t)
+	}
+}
+
+// advanceAll runs every instance world to t: it hands t to every
+// worker, advances shard 0 itself, then waits for each worker's done
+// signal. Instances are mutually independent between barriers — no
+// shared mutable state, each world advanced by exactly one goroutine —
+// so the shard count changes wall-clock time only, never simulated
+// state.
+func (c *Cluster) advanceAll(t vclock.Time) {
+	for _, work := range c.work {
+		work <- t
+	}
+	c.advanceShard(0, t)
+	for range c.work {
+		<-c.done
+	}
 }
 
 // Run drives the fleet through its offered load and returns the
@@ -415,6 +450,8 @@ func (c *Cluster) Run() (*Summary, error) {
 		return nil, fmt.Errorf("cluster: Run called twice")
 	}
 	c.ran = true
+	stop := c.startShards()
+	defer stop()
 	c.rng = rand.New(rand.NewSource(c.spec.Seed))
 	// The spec package's Poisson sampler: exponential gaps with mean
 	// 1/Rate, quantized to the microsecond clock with a 1us floor, so

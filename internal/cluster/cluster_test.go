@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/vclock"
 )
@@ -282,5 +283,45 @@ func TestRunTwice(t *testing.T) {
 	}
 	if _, err := c.Run(); err == nil {
 		t.Fatal("second Run succeeded")
+	}
+}
+
+// settledGoroutines waits up to a second for the goroutine count to
+// fall to want — a worker that has signalled its exit may still be
+// unwinding — and returns the last count seen.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// TestShardWorkersExitWithRun checks that the advance workers live only
+// as long as Run: after a sharded run of a fire-and-forget fleet and of
+// a faulted resilient fleet, the goroutine count is back at its
+// baseline. A serial warm-up run of each spec first fills the sim's
+// process-wide idle coroutine pool, so the sharded runs' worlds create
+// no goroutines of their own that outlive them.
+func TestShardWorkersExitWithRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec Spec
+	}{
+		{"fire-and-forget", smallSpec()},
+		{"faulted", faultedSpec()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mustRun(t, tc.spec)
+			base := runtime.NumGoroutine()
+			for _, shards := range []int{2, 4} {
+				spec := tc.spec
+				spec.Shards = shards
+				mustRun(t, spec)
+				if n := settledGoroutines(base); n != base {
+					t.Fatalf("shards=%d: %d goroutines after Run, baseline %d", shards, n, base)
+				}
+			}
+		})
 	}
 }

@@ -1,9 +1,9 @@
 package cluster
 
 import (
-	"container/heap"
 	"sort"
 
+	"repro/internal/eventq"
 	"repro/internal/stats"
 	"repro/internal/vclock"
 	"repro/internal/workload"
@@ -16,9 +16,9 @@ import (
 // this path tracks every request end to end — each attempt carries a
 // token, each instance reports tracked Completions, and the driver runs
 // a client state machine over them: retry with capped backoff under a
-// fleet-wide budget, hedge at a p99-derived delay, trip breakers, and
-// classify every admitted request into exactly one of goodput /
-// degraded / shed / failed, so that
+// fleet-wide budget, hedge at the running p99 of successes, trip
+// breakers, and classify every admitted request into exactly one of
+// goodput / degraded / shed / failed, so that
 //
 //	offered == rejected + shed + failed + degraded + goodput
 //
@@ -27,12 +27,13 @@ import (
 // Determinism is preserved by the same discipline as the legacy path,
 // tightened for feedback loops: ALL client state lives in the driver
 // and changes only at advance barriers. Client events (arrivals,
-// probes, timeouts, retries, hedges) sit in one heap ordered by
-// (time, insertion seq); each pop advances every world to the event
-// time, drains the instances' Completion buffers in (time, instance-ID)
-// order, applies them, then handles the event. Worlds never observe the
-// client and the client reads worlds only at barriers, so Spec.Shards
-// remains invisible in the output.
+// probes, timeouts, retries, hedges) are handler closures on one
+// eventq.Queue, which pops in (time, insertion seq) order; each pop
+// advances every world to the event time, drains the instances'
+// Completion buffers in (time, instance-ID) order, applies them, then
+// runs the handler. Worlds never observe the client and the client
+// reads worlds only at barriers, so Spec.Shards remains invisible in
+// the output.
 
 // --- circuit breaker -------------------------------------------------
 
@@ -150,46 +151,6 @@ type attempt struct {
 	done  bool
 }
 
-// --- client event heap -----------------------------------------------
-
-type evKind int
-
-const (
-	evArrival evKind = iota
-	evProbe
-	evTimeout
-	evRetry
-	evHedge
-)
-
-type clientEvent struct {
-	at   vclock.Time
-	seq  int64 // insertion order breaks time ties deterministically
-	kind evKind
-	req  *creq    // evRetry, evHedge
-	att  *attempt // evTimeout
-}
-
-type eventHeap []*clientEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at.Before(h[j].at)
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*clientEvent)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
 // --- the driver ------------------------------------------------------
 
 const unhealthyLoad = 1 << 30 // poisons least-loaded away from ejected instances
@@ -200,8 +161,7 @@ type resilientRun struct {
 	health *healthMonitor
 	brk    []breaker
 
-	heap    eventHeap
-	seq     int64
+	events  eventq.Queue // client events: arrivals, probes, timeouts, retries, hedges
 	barrier vclock.Time
 
 	tokens    map[uint64]*attempt
@@ -221,7 +181,7 @@ type resilientRun struct {
 	firstArrival vclock.Time
 	lastResolve  vclock.Time
 
-	clientLat stats.LatencyRecorder    // successes, client-observed: hedge delay source
+	clientP99 *stats.RunningQuantile   // successes, client-observed: hedge delay source
 	phases    [3]stats.LatencyRecorder // indexed by phaseIdx(born)
 }
 
@@ -237,6 +197,7 @@ func (c *Cluster) runResilient() (*Summary, error) {
 		loads:           make([]int, len(c.insts)),
 		pendingArrivals: s.Requests,
 		firstArrival:    vclock.Never,
+		clientP99:       stats.NewRunningQuantile(0.99),
 	}
 	if r.faults == nil {
 		r.faults, _ = compileFaults(nil, len(c.insts), 0)
@@ -258,28 +219,20 @@ func (c *Cluster) runResilient() (*Summary, error) {
 	t0 := vclock.Time(0).Add(start)
 	r.barrier = t0
 	if s.ProbeEvery > 0 {
-		r.push(t0, &clientEvent{kind: evProbe})
+		r.at(t0, r.onProbe)
 	}
 	if s.Requests > 0 {
-		r.push(t0.Add(c.gap(rng)), &clientEvent{kind: evArrival})
+		r.at(t0.Add(c.gap(rng)), r.onArrival)
 	}
 
 	for {
-		for len(r.heap) > 0 {
-			e := heap.Pop(&r.heap).(*clientEvent)
-			r.advance(e.at)
-			switch e.kind {
-			case evArrival:
-				r.onArrival(e.at)
-			case evProbe:
-				r.onProbe(e.at)
-			case evTimeout:
-				r.onTimeout(e.at, e.att)
-			case evRetry:
-				r.onRetry(e.at, e.req)
-			case evHedge:
-				r.onHedge(e.at, e.req)
+		for {
+			do, at, ok := r.events.PopDo()
+			if !ok {
+				break
 			}
+			r.advance(at)
+			do()
 		}
 		if r.outstanding == 0 {
 			break
@@ -288,7 +241,7 @@ func (c *Cluster) runResilient() (*Summary, error) {
 		// configured): let the fleet drain and fold in whatever lands.
 		before := r.outstanding
 		r.advance(r.barrier.Add(s.Drain))
-		if len(r.heap) == 0 && r.outstanding == before {
+		if r.events.Empty() && r.outstanding == before {
 			break // nothing in flight will ever land
 		}
 	}
@@ -310,10 +263,10 @@ func (c *Cluster) runResilient() (*Summary, error) {
 	return r.summary(), nil
 }
 
-func (r *resilientRun) push(at vclock.Time, e *clientEvent) {
-	e.at, e.seq = at, r.seq
-	r.seq++
-	heap.Push(&r.heap, e)
+// at schedules handler fn to run at virtual time t, after every world
+// has been advanced to t.
+func (r *resilientRun) at(t vclock.Time, fn func(vclock.Time)) {
+	r.events.Schedule(t, func() { fn(t) })
 }
 
 // advance brings every world to t (if t is past the current barrier)
@@ -386,7 +339,7 @@ func (r *resilientRun) resolve(req *creq, winner *attempt, tc vclock.Time) {
 	if winner.hedge {
 		r.hedgeWins++
 	}
-	r.clientLat.Add(lat)
+	r.clientP99.Add(lat)
 	r.phases[r.faults.phaseIdx(req.born)].Add(lat)
 	if tc.After(r.lastResolve) {
 		r.lastResolve = tc
@@ -423,7 +376,7 @@ func (r *resilientRun) attemptFailed(req *creq, now vclock.Time) {
 			if at.Before(r.barrier) {
 				at = r.barrier
 			}
-			r.push(at, &clientEvent{kind: evRetry, req: req})
+			r.at(at, func(t vclock.Time) { r.onRetry(t, req) })
 			return
 		}
 		r.retriesDenied++
@@ -464,12 +417,12 @@ func (r *resilientRun) backoff(n int) vclock.Duration {
 }
 
 // hedgeDelay is how long the client waits before duplicating a request:
-// the observed p99 of successes so far, floored at HedgeAfter until
-// enough samples accumulate.
+// the exact nearest-rank p99 of successes so far, floored at
+// HedgeAfter, which stands alone until 20 successes have landed.
 func (r *resilientRun) hedgeDelay() vclock.Duration {
 	d := r.c.spec.HedgeAfter
-	if r.clientLat.Count() >= 20 {
-		if p := r.clientLat.Percentile(0.99); p > d {
+	if r.clientP99.Count() >= 20 {
+		if p := r.clientP99.Value(); p > d {
 			d = p
 		}
 	}
@@ -497,7 +450,7 @@ func (r *resilientRun) onArrival(t vclock.Time) {
 		r.dispatch(req, -1, false, t)
 	}
 	if r.pendingArrivals > 0 {
-		r.push(t.Add(r.c.gap(r.c.rng)), &clientEvent{kind: evArrival})
+		r.at(t.Add(r.c.gap(r.c.rng)), r.onArrival)
 	}
 }
 
@@ -509,7 +462,7 @@ func (r *resilientRun) onProbe(t vclock.Time) {
 		})
 	}
 	if r.pendingArrivals > 0 || r.outstanding > 0 {
-		r.push(t.Add(r.c.spec.ProbeEvery), &clientEvent{kind: evProbe})
+		r.at(t.Add(r.c.spec.ProbeEvery), r.onProbe)
 	}
 }
 
@@ -646,10 +599,10 @@ func (r *resilientRun) dispatch(req *creq, exclude int, hedge bool, now vclock.T
 	srv, sess := in.srv, req.user%r.c.spec.Sessions
 	in.w.At(now, func() { srv.InjectTracked(sess, svc, tok) })
 	if r.c.spec.Timeout > 0 {
-		r.push(now.Add(r.c.spec.Timeout), &clientEvent{kind: evTimeout, att: att})
+		r.at(now.Add(r.c.spec.Timeout), func(t vclock.Time) { r.onTimeout(t, att) })
 	}
 	if !hedge && !req.hedged && req.attempts == 1 && r.c.spec.HedgeAfter > 0 {
-		r.push(now.Add(r.hedgeDelay()), &clientEvent{kind: evHedge, req: req})
+		r.at(now.Add(r.hedgeDelay()), func(t vclock.Time) { r.onHedge(t, req) })
 	}
 }
 
