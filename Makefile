@@ -14,7 +14,7 @@ EXPLORE_BUDGET ?= 200
 COVER_PKGS = ./internal/sim ./internal/monitor ./internal/fault ./internal/cluster ./internal/eventq ./internal/sched ./internal/workload ./internal/workload/spec ./internal/workload/capacity
 COVER_FLOOR = 75
 
-.PHONY: check vet build test race bench fuzz-short explore cover knee
+.PHONY: check vet build test race bench fuzz-short explore cover knee loc
 
 check: vet build race fuzz-short explore
 
@@ -100,3 +100,9 @@ cover:
 		awk -v p="$$pct" -v f="$(COVER_FLOOR)" \
 			'BEGIN { if (p+0 < f+0) { print "coverage below floor"; exit 1 } }' || exit 1; \
 	done
+
+# The net non-test Go line count ROADMAP tracks: every non-test Go file
+# outside the benchmark module and its build directory, comments
+# included.
+loc:
+	@find . -name '*.go' -not -path './perfbench/*' -not -path './.bench_build/*' -not -name '*_test.go' | xargs cat | wc -l

@@ -17,6 +17,9 @@
 // barriers; and aggregation folds per-instance recorders in instance-ID
 // order. The result: the same Spec produces byte-identical summaries
 // whether instances advance serially or on GOMAXPROCS shards.
+//
+// One event-driven driver (driver.go) runs every fleet; a spec with no
+// faults and no client policies is simply its zero configuration.
 package cluster
 
 import (
@@ -26,7 +29,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/vclock"
 	"repro/internal/workload"
 	wspec "repro/internal/workload/spec"
@@ -90,8 +92,7 @@ type Spec struct {
 	Hooks sim.Hooks
 
 	// --- Fault injection and resilience (all optional). Setting any of
-	// these switches Run onto the tracked-request resilient path; see
-	// resilience.go. ---
+	// these makes Run track every request end to end; see driver.go. ---
 
 	// Faults is the cluster-scoped fault plan; only instance-scoped
 	// kinds (crash_instance / stall_instance / degrade_instance) are
@@ -135,33 +136,17 @@ type Spec struct {
 
 	// Record, when non-nil, accumulates the fleet's admitted arrivals
 	// (virtual instant, user identity, drawn service demand) into the
-	// trace in arrival order. The driver loop is serial even under
-	// sharded advance, so the artifact is byte-identical across Shards.
-	// Fire-and-forget path only.
+	// trace in arrival order, once per admitted arrival — never per
+	// retry or hedge. The driver loop is serial even under sharded
+	// advance, so the artifact is byte-identical across Shards.
 	Record *wspec.Trace
 	// Replay, when non-nil, drives the fleet from a recorded trace
 	// instead of the spec's streams: the gap, user and service draws
 	// are skipped and admission is bypassed (the trace holds only
-	// admitted arrivals). Routing still runs live, so the same offered
-	// load can be replayed under a different router. Fire-and-forget
-	// path only.
+	// admitted arrivals). Routing, faults and client policies still run
+	// live, so the same offered load can be replayed under a different
+	// router, and retries and hedges are regenerated rather than read.
 	Replay *wspec.Trace
-}
-
-// resilient reports whether the spec asks for the tracked-request run
-// path. A non-nil (even empty) fault plan qualifies: the caller asked
-// for fault semantics and gets the full accounting with it.
-func (s Spec) resilient() bool {
-	return s.Faults != nil || s.ProbeEvery > 0 || s.Timeout > 0 || s.Retries > 0 ||
-		s.HedgeAfter > 0 || s.BreakerAfter > 0 || s.DegradedOver > 0
-}
-
-// faultSeed resolves the victim-pick stream for AnyInstance rules.
-func (s Spec) faultSeed() int64 {
-	if s.FaultSeed != 0 {
-		return s.FaultSeed
-	}
-	return s.Seed + 0xfa017
 }
 
 // withDefaults returns the spec with zero knobs resolved.
@@ -189,6 +174,9 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Shards < 1 {
 		s.Shards = 1
+	}
+	if s.FaultSeed == 0 {
+		s.FaultSeed = s.Seed + 0xfa017
 	}
 	if s.ProbeEvery > 0 {
 		if s.FailAfter <= 0 {
@@ -255,8 +243,15 @@ func (s Spec) validate() error {
 	if s.BreakerAfter < 0 {
 		return fmt.Errorf("cluster: BreakerAfter must be >= 0 (got %d)", s.BreakerAfter)
 	}
-	if (s.Record != nil || s.Replay != nil) && s.resilient() {
-		return fmt.Errorf("cluster: Record/Replay are supported on the fire-and-forget path only")
+	if s.Replay != nil {
+		var last int64
+		for k, e := range s.Replay.Entries {
+			if e.AtUS < last || e.ServiceUS <= 0 || e.Session < 0 {
+				return fmt.Errorf("cluster: replay entry %d: instant %dus (previous %dus), demand %dus, user %d: "+
+					"want non-decreasing instants >= 0, demand > 0 and user >= 0", k, e.AtUS, last, e.ServiceUS, e.Session)
+			}
+			last = e.AtUS
+		}
 	}
 	return nil
 }
@@ -277,9 +272,7 @@ type Cluster struct {
 	insts  []*instance
 	route  router
 	admit  admitter
-	faults *instanceFaults // compiled fault timelines; nil when fault-free
-	rng    *rand.Rand      // arrival/identity/demand stream, owned by Run
-	gap    wspec.Sampler   // Poisson inter-arrival gaps at Spec.Rate
+	faults *instanceFaults // compiled fault timelines; empty when fault-free
 	ran    bool
 
 	// Advance workers, live only inside Run (see startShards): work[s-1]
@@ -309,15 +302,13 @@ func New(spec Spec) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{spec: spec, preset: preset, route: route, admit: admit}
-	if spec.Faults != nil {
-		// Compile eagerly: a bad plan (thread-scoped kinds, out-of-range
-		// instance) fails at New, before any world exists to leak.
-		c.faults, err = compileFaults(spec.Faults, spec.Instances, spec.faultSeed())
-		if err != nil {
-			return nil, err
-		}
+	// Compile eagerly: a bad plan (thread-scoped kinds, out-of-range
+	// instance) fails at New, before any world exists to leak.
+	faults, err := compileFaults(spec.Faults, spec.Instances, spec.FaultSeed)
+	if err != nil {
+		return nil, err
 	}
+	c := &Cluster{spec: spec, preset: preset, route: route, admit: admit, faults: faults}
 	names := workload.NewNameTable("echo", spec.Sessions)
 	// Each instance world is one "server" workload spec: the preset's
 	// background population plus a passive session pool, compiled
@@ -434,102 +425,6 @@ func (c *Cluster) advanceAll(t vclock.Time) {
 	}
 }
 
-// Run drives the fleet through its offered load and returns the
-// aggregated summary. It may be called once per Cluster.
-//
-// Per arrival the order of operations is fixed: clock gap, admission
-// decision, user draw, service draw, route. Rejected requests consume
-// no user or service draws, so the admitted subsequence's identities
-// and demands do not depend on the admission policy. Load-aware routing
-// pays a barrier per arrival (every world advanced to the arrival
-// instant before the load snapshot); blind routing queues injections
-// and lets worlds catch up in bulk at the end — same simulated outcome
-// per world, radically different driver cost.
-func (c *Cluster) Run() (*Summary, error) {
-	if c.ran {
-		return nil, fmt.Errorf("cluster: Run called twice")
-	}
-	c.ran = true
-	stop := c.startShards()
-	defer stop()
-	c.rng = rand.New(rand.NewSource(c.spec.Seed))
-	// The spec package's Poisson sampler: exponential gaps with mean
-	// 1/Rate, quantized to the microsecond clock with a 1us floor, so
-	// the fleet arrival clock is strictly increasing.
-	c.gap = (&wspec.Arrival{Process: wspec.ProcPoisson, Rate: c.spec.Rate}).GapSampler()
-	if c.spec.resilient() {
-		return c.runResilient()
-	}
-	s := c.spec
-	rng := c.rng
-	start := s.Start
-	if start <= 0 {
-		perPark := c.insts[0].w.Config().SwitchCost + 10*vclock.Microsecond
-		start = vclock.Duration(s.Sessions)*perPark + 200*vclock.Millisecond
-	}
-	needLoads := c.route.NeedsLoads()
-	loads := make([]int, len(c.insts))
-	var offered, admitted, rejected int64
-	// dispatch routes and injects one admitted arrival; recording taps
-	// here, so the trace holds exactly the admitted subsequence.
-	dispatch := func(t vclock.Time, user int, service vclock.Duration) {
-		var snapshot []int
-		if needLoads {
-			c.advanceAll(t)
-			for i, in := range c.insts {
-				loads[i] = in.srv.Pending()
-			}
-			snapshot = loads
-		}
-		in := c.insts[c.route.Route(user, snapshot)]
-		in.routed++
-		admitted++
-		if s.Record != nil {
-			s.Record.Add(t, "", user, service)
-		}
-		srv, sess := in.srv, user%s.Sessions
-		in.w.At(t, func() { srv.Inject(sess, service) })
-	}
-	t := vclock.Time(0).Add(start)
-	if rp := s.Replay; rp != nil {
-		// Replay: the recorded instants, identities and demands stand in
-		// for the gap/user/service draws; admission is bypassed (the
-		// trace holds only admitted arrivals), routing runs live.
-		for k := range rp.Entries {
-			e := &rp.Entries[k]
-			at := vclock.Time(0).Add(vclock.Duration(e.AtUS))
-			if at.Before(t) || e.ServiceUS <= 0 {
-				return nil, fmt.Errorf("cluster: replay entry %d: bad instant %dus or demand %dus", k, e.AtUS, e.ServiceUS)
-			}
-			t = at
-			offered++
-			dispatch(t, e.Session, vclock.Duration(e.ServiceUS))
-		}
-	} else {
-		for k := int64(0); k < s.Requests; k++ {
-			t = t.Add(c.gap(rng))
-			offered++
-			if !c.admit.Admit(t) {
-				rejected++
-				continue
-			}
-			user := c.drawUser(rng)
-			service := c.drawService(rng)
-			dispatch(t, user, service)
-		}
-	}
-	// Flush every queued injection, close the pools strictly after the
-	// last arrival, and drain.
-	c.advanceAll(t)
-	closeAt := t.Add(vclock.Microsecond)
-	for _, in := range c.insts {
-		srv := in.srv
-		in.w.At(closeAt, srv.Close)
-	}
-	c.advanceAll(closeAt.Add(s.Drain))
-	return c.summarize(offered, admitted, rejected), nil
-}
-
 // InstanceSummary is one fleet member's slice of the aggregate. All
 // durations are integer virtual microseconds, so the JSON encoding is
 // exact and platform-independent.
@@ -562,8 +457,9 @@ type Summary struct {
 	Completed int64  `json:"completed"`
 	// Graceful-degradation buckets. Every offered request lands in
 	// exactly one: offered == rejected + shed + failed + degraded +
-	// goodput. On the legacy (fault-free, fire-and-forget) path goodput
-	// is simply completed and shed/degraded are zero.
+	// goodput. An untracked run (no faults, no client policies) has no
+	// partial outcomes: goodput is simply completed and shed/degraded
+	// are zero.
 	Goodput     int64              `json:"goodput"`
 	Degraded    int64              `json:"degraded"`
 	Shed        int64              `json:"shed"`
@@ -589,7 +485,7 @@ type PhaseSummary struct {
 	MaxUs int64  `json:"max_us"`
 }
 
-// ResilienceSummary is the resilient run path's mechanism ledger: how
+// ResilienceSummary is a tracked run's mechanism ledger: how
 // often each policy fired, what the fleet lost, and how long the health
 // monitor took to notice and recover.
 type ResilienceSummary struct {
@@ -606,57 +502,6 @@ type ResilienceSummary struct {
 	Readmissions     int64          `json:"readmissions"`
 	RecoveryUs       int64          `json:"recovery_us"` // slowest eject-to-readmit
 	Phases           []PhaseSummary `json:"phases,omitempty"`
-}
-
-func (c *Cluster) summarize(offered, admitted, rejected int64) *Summary {
-	s := &Summary{
-		Preset:    c.spec.Preset,
-		Instances: c.spec.Instances,
-		Sessions:  c.spec.Sessions,
-		Router:    c.spec.Router,
-		Admission: c.spec.Admission,
-		Seed:      c.spec.Seed,
-		Offered:   offered,
-		Admitted:  admitted,
-		Rejected:  rejected,
-	}
-	agg := &stats.LatencyRecorder{}
-	first, last := vclock.Never, vclock.Time(0)
-	for _, in := range c.insts { // instance-ID order: aggregation is reproducible
-		ls := in.srv.Finish()
-		s.Completed += ls.Completed
-		agg.Merge(&ls.Latency)
-		if ls.Offered > 0 && in.srv.First().Before(first) {
-			first = in.srv.First()
-		}
-		if in.srv.LastDone().After(last) {
-			last = in.srv.LastDone()
-		}
-		s.PerInstance = append(s.PerInstance, InstanceSummary{
-			ID:         in.id,
-			Routed:     in.routed,
-			Completed:  ls.Completed,
-			Throughput: ls.Throughput(),
-			P50Us:      ls.Latency.Percentile(0.50).Micros(),
-			P95Us:      ls.Latency.Percentile(0.95).Micros(),
-			P99Us:      ls.Latency.Percentile(0.99).Micros(),
-			MaxUs:      ls.Latency.Max().Micros(),
-		})
-	}
-	// Fire-and-forget has no partial outcomes: everything admitted was
-	// served (or, if the drain was cut short, failed-by-omission).
-	s.Goodput = s.Completed
-	s.Failed = s.Admitted - s.Completed
-	if s.Completed > 0 && last.After(first) {
-		window := last.Sub(first)
-		s.WindowUs = window.Micros()
-		s.Throughput = float64(s.Completed) / window.Seconds()
-	}
-	s.P50Us = agg.Percentile(0.50).Micros()
-	s.P95Us = agg.Percentile(0.95).Micros()
-	s.P99Us = agg.Percentile(0.99).Micros()
-	s.MaxUs = agg.Max().Micros()
-	return s
 }
 
 // Run builds a fleet from spec, runs it, and tears it down.

@@ -298,8 +298,8 @@ func settledGoroutines(want int) int {
 }
 
 // TestShardWorkersExitWithRun checks that the advance workers live only
-// as long as Run: after a sharded run of a fire-and-forget fleet and of
-// a faulted resilient fleet, the goroutine count is back at its
+// as long as Run: after a sharded run of an untracked fleet and of a
+// faulted tracked fleet, the goroutine count is back at its
 // baseline. A serial warm-up run of each spec first fills the sim's
 // process-wide idle coroutine pool, so the sharded runs' worlds create
 // no goroutines of their own that outlive them.

@@ -121,17 +121,6 @@ func compileFaults(p *fault.Plan, n int, seed int64) (*instanceFaults, error) {
 	return f, nil
 }
 
-// empty reports whether the compiled plan injects nothing.
-func (f *instanceFaults) empty() bool {
-	for i := range f.inst {
-		tl := &f.inst[i]
-		if len(tl.crashes) > 0 || len(tl.stalls) > 0 || len(tl.degrades) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // downAt reports whether instance i is crashed at time t.
 func (f *instanceFaults) downAt(i int, t vclock.Time) bool {
 	for _, w := range f.inst[i].crashes {

@@ -70,37 +70,8 @@ func (m *healthMonitor) probe(now vclock.Time, alive func(int) bool) {
 	}
 }
 
-// healthyCount returns the number of instances in rotation.
-func (m *healthMonitor) healthyCount() int {
-	n := 0
-	for i := range m.inst {
-		if m.inst[i].healthy {
-			n++
-		}
-	}
-	return n
-}
-
 // isHealthy reports whether instance i is in rotation. A nil monitor
 // (health-aware routing disabled) treats every instance as healthy.
 func (m *healthMonitor) isHealthy(i int) bool {
 	return m == nil || m.inst[i].healthy
-}
-
-// failover returns the routing target after health ejection: the base
-// router's choice if it is in rotation, else the next healthy instance
-// in ring order — which is also how affinity sessions re-home: user u's
-// pinned instance (u mod N) degrades deterministically to the first
-// healthy instance at or after it in the ring, and snaps back the probe
-// round its home is re-admitted. Returns -1 when no instance is healthy.
-func (m *healthMonitor) failover(choice, n int) int {
-	if m == nil {
-		return choice
-	}
-	for d := 0; d < n; d++ {
-		if j := (choice + d) % n; m.inst[j].healthy {
-			return j
-		}
-	}
-	return -1
 }

@@ -3,37 +3,26 @@ package cluster
 import (
 	"sort"
 
-	"repro/internal/eventq"
 	"repro/internal/stats"
 	"repro/internal/vclock"
 	"repro/internal/workload"
 )
 
-// This file is the resilient run path: the event-driven cluster driver
-// that Run switches to when the spec asks for faults, health-aware
-// routing, or any client-side resilience policy (timeout, retries,
-// hedging, circuit breaking). The legacy path injects fire-and-forget;
-// this path tracks every request end to end — each attempt carries a
-// token, each instance reports tracked Completions, and the driver runs
-// a client state machine over them: retry with capped backoff under a
-// fleet-wide budget, hedge at the running p99 of successes, trip
-// breakers, and classify every admitted request into exactly one of
-// goodput / degraded / shed / failed, so that
+// This file is the client half of a tracked run (see driver.go): the
+// state machine the driver runs over every admitted request when the
+// spec asks for faults, health-aware routing, or any client-side
+// resilience policy (timeout, retries, hedging, circuit breaking). Each
+// attempt carries a token, each instance reports tracked Completions,
+// and the client retries with capped backoff under a fleet-wide budget,
+// hedges at the running p99 of successes, trips breakers, and
+// classifies every admitted request into exactly one of goodput /
+// degraded / shed / failed, so that
 //
 //	offered == rejected + shed + failed + degraded + goodput
 //
-// holds as an accounting identity, not a hope.
-//
-// Determinism is preserved by the same discipline as the legacy path,
-// tightened for feedback loops: ALL client state lives in the driver
-// and changes only at advance barriers. Client events (arrivals,
-// probes, timeouts, retries, hedges) are handler closures on one
-// eventq.Queue, which pops in (time, insertion seq) order; each pop
-// advances every world to the event time, drains the instances'
-// Completion buffers in (time, instance-ID) order, applies them, then
-// runs the handler. Worlds never observe the client and the client
-// reads worlds only at barriers, so Spec.Shards remains invisible in
-// the output.
+// holds as an accounting identity, not a hope. ALL client state lives
+// in the driver and changes only at advance barriers, in the order the
+// driver pops events and drains Completions.
 
 // --- circuit breaker -------------------------------------------------
 
@@ -151,138 +140,12 @@ type attempt struct {
 	done  bool
 }
 
-// --- the driver ------------------------------------------------------
-
-const unhealthyLoad = 1 << 30 // poisons least-loaded away from ejected instances
-
-type resilientRun struct {
-	c      *Cluster
-	faults *instanceFaults
-	health *healthMonitor
-	brk    []breaker
-
-	events  eventq.Queue // client events: arrivals, probes, timeouts, retries, hedges
-	barrier vclock.Time
-
-	tokens    map[uint64]*attempt
-	nextToken uint64
-	loads     []int
-
-	pendingArrivals int64
-	outstanding     int64 // admitted, unresolved requests
-
-	offered, admitted, rejected     int64
-	goodput, degraded, shed, failed int64
-
-	retriesIssued, retriesDenied int64
-	hedges, hedgeWins            int64
-	timeouts, refused, lost      int64
-
-	firstArrival vclock.Time
-	lastResolve  vclock.Time
-
-	clientP99 *stats.RunningQuantile   // successes, client-observed: hedge delay source
-	phases    [3]stats.LatencyRecorder // indexed by phaseIdx(born)
-}
-
-// runResilient drives the fleet through the tracked-request state
-// machine and returns the extended summary.
-func (c *Cluster) runResilient() (*Summary, error) {
-	s := c.spec
-	r := &resilientRun{
-		c:               c,
-		faults:          c.faults,
-		brk:             make([]breaker, len(c.insts)),
-		tokens:          make(map[uint64]*attempt),
-		loads:           make([]int, len(c.insts)),
-		pendingArrivals: s.Requests,
-		firstArrival:    vclock.Never,
-		clientP99:       stats.NewRunningQuantile(0.99),
-	}
-	if r.faults == nil {
-		r.faults, _ = compileFaults(nil, len(c.insts), 0)
-	}
-	for i := range r.brk {
-		r.brk[i] = breaker{after: s.BreakerAfter, openFor: s.BreakerOpenFor}
-	}
-	if s.ProbeEvery > 0 {
-		r.health = newHealthMonitor(len(c.insts), s.FailAfter, s.RecoverAfter)
-	}
-	r.faults.arm(c.insts)
-
-	rng := c.rng
-	start := s.Start
-	if start <= 0 {
-		perPark := c.insts[0].w.Config().SwitchCost + 10*vclock.Microsecond
-		start = vclock.Duration(s.Sessions)*perPark + 200*vclock.Millisecond
-	}
-	t0 := vclock.Time(0).Add(start)
-	r.barrier = t0
-	if s.ProbeEvery > 0 {
-		r.at(t0, r.onProbe)
-	}
-	if s.Requests > 0 {
-		r.at(t0.Add(c.gap(rng)), r.onArrival)
-	}
-
-	for {
-		for {
-			do, at, ok := r.events.PopDo()
-			if !ok {
-				break
-			}
-			r.advance(at)
-			do()
-		}
-		if r.outstanding == 0 {
-			break
-		}
-		// In-flight work with no scheduled client events (no timeouts
-		// configured): let the fleet drain and fold in whatever lands.
-		before := r.outstanding
-		r.advance(r.barrier.Add(s.Drain))
-		if r.events.Empty() && r.outstanding == before {
-			break // nothing in flight will ever land
-		}
-	}
-
-	// Close the pools strictly after the last client action and let the
-	// worlds quiesce.
-	closeAt := r.barrier.Add(vclock.Microsecond)
-	for _, in := range c.insts {
-		srv := in.srv
-		in.w.At(closeAt, srv.Close)
-	}
-	c.advanceAll(closeAt.Add(s.Drain))
-	r.drainCompletions()
-
-	// Anything still unresolved — queued behind a stall longer than the
-	// drain, say — failed from the client's point of view.
-	r.failed += r.outstanding
-	r.outstanding = 0
-	return r.summary(), nil
-}
-
-// at schedules handler fn to run at virtual time t, after every world
-// has been advanced to t.
-func (r *resilientRun) at(t vclock.Time, fn func(vclock.Time)) {
-	r.events.Schedule(t, func() { fn(t) })
-}
-
-// advance brings every world to t (if t is past the current barrier)
-// and applies any tracked completions that landed.
-func (r *resilientRun) advance(t vclock.Time) {
-	if t.After(r.barrier) {
-		r.c.advanceAll(t)
-		r.barrier = t
-	}
-	r.drainCompletions()
-}
+// --- the client state machine ----------------------------------------
 
 // drainCompletions folds the instances' Completion buffers into the
 // client state machine in (time, instance-ID) order — the only order
 // that is independent of how worlds were dealt onto shards.
-func (r *resilientRun) drainCompletions() {
+func (r *driver) drainCompletions() {
 	type tagged struct {
 		inst int
 		cp   workload.Completion
@@ -304,7 +167,7 @@ func (r *resilientRun) drainCompletions() {
 	}
 }
 
-func (r *resilientRun) onCompletion(inst int, cp workload.Completion) {
+func (r *driver) onCompletion(inst int, cp workload.Completion) {
 	att := r.tokens[cp.Token]
 	delete(r.tokens, cp.Token)
 	if att == nil || att.done {
@@ -327,7 +190,7 @@ func (r *resilientRun) onCompletion(inst int, cp workload.Completion) {
 
 // resolve closes a request as a success, classifies it, and cancels
 // any sibling attempts still in flight (the hedge loser).
-func (r *resilientRun) resolve(req *creq, winner *attempt, tc vclock.Time) {
+func (r *driver) resolve(req *creq, winner *attempt, tc vclock.Time) {
 	req.resolved = true
 	r.outstanding--
 	lat := tc.Sub(req.born)
@@ -340,7 +203,7 @@ func (r *resilientRun) resolve(req *creq, winner *attempt, tc vclock.Time) {
 		r.hedgeWins++
 	}
 	r.clientP99.Add(lat)
-	r.phases[r.faults.phaseIdx(req.born)].Add(lat)
+	r.phases[r.c.faults.phaseIdx(req.born)].Add(lat)
 	if tc.After(r.lastResolve) {
 		r.lastResolve = tc
 	}
@@ -363,7 +226,7 @@ func (r *resilientRun) resolve(req *creq, winner *attempt, tc vclock.Time) {
 // attemptFailed is the common tail of every failed attempt: retry if
 // the policy and the fleet-wide budget allow, otherwise fail the
 // request once nothing else is in flight for it.
-func (r *resilientRun) attemptFailed(req *creq, now vclock.Time) {
+func (r *driver) attemptFailed(req *creq, now vclock.Time) {
 	if req.resolved {
 		return
 	}
@@ -376,7 +239,7 @@ func (r *resilientRun) attemptFailed(req *creq, now vclock.Time) {
 			if at.Before(r.barrier) {
 				at = r.barrier
 			}
-			r.at(at, func(t vclock.Time) { r.onRetry(t, req) })
+			r.events.Schedule(at, func() { r.onRetry(req) })
 			return
 		}
 		r.retriesDenied++
@@ -392,7 +255,7 @@ func (r *resilientRun) attemptFailed(req *creq, now vclock.Time) {
 // most RetryBudget × offered-so-far. This is the retry-storm valve —
 // per-request retry counts multiply under fleet-wide overload, a
 // fleet-wide fraction cannot.
-func (r *resilientRun) budgetAllows() bool {
+func (r *driver) budgetAllows() bool {
 	s := r.c.spec
 	if s.RetryBudget <= 0 {
 		return true
@@ -401,7 +264,7 @@ func (r *resilientRun) budgetAllows() bool {
 }
 
 // backoff returns the capped exponential backoff before retry n (1-based).
-func (r *resilientRun) backoff(n int) vclock.Duration {
+func (r *driver) backoff(n int) vclock.Duration {
 	s := r.c.spec
 	d := s.RetryBackoff
 	for i := 1; i < n; i++ {
@@ -410,16 +273,13 @@ func (r *resilientRun) backoff(n int) vclock.Duration {
 			return s.RetryBackoffCap
 		}
 	}
-	if d > s.RetryBackoffCap {
-		d = s.RetryBackoffCap
-	}
-	return d
+	return min(d, s.RetryBackoffCap)
 }
 
 // hedgeDelay is how long the client waits before duplicating a request:
 // the exact nearest-rank p99 of successes so far, floored at
 // HedgeAfter, which stands alone until 20 successes have landed.
-func (r *resilientRun) hedgeDelay() vclock.Duration {
+func (r *driver) hedgeDelay() vclock.Duration {
 	d := r.c.spec.HedgeAfter
 	if r.clientP99.Count() >= 20 {
 		if p := r.clientP99.Value(); p > d {
@@ -429,64 +289,29 @@ func (r *resilientRun) hedgeDelay() vclock.Duration {
 	return d
 }
 
-// --- event handlers --------------------------------------------------
+// --- event handlers: each runs at the driver's clock r.now ------------
 
-func (r *resilientRun) onArrival(t vclock.Time) {
-	r.pendingArrivals--
-	r.offered++
-	// Same fixed per-arrival draw order as the legacy path: admission
-	// first, then user and service only if admitted.
-	if !r.c.admit.Admit(t) {
-		r.rejected++
-	} else {
-		user := r.c.drawUser(r.c.rng)
-		service := r.c.drawService(r.c.rng)
-		r.admitted++
-		req := &creq{user: user, service: service, born: t, lastInst: -1}
-		r.outstanding++
-		if r.firstArrival == vclock.Never {
-			r.firstArrival = t
-		}
-		r.dispatch(req, -1, false, t)
-	}
-	if r.pendingArrivals > 0 {
-		r.at(t.Add(r.c.gap(r.c.rng)), r.onArrival)
-	}
-}
-
-func (r *resilientRun) onProbe(t vclock.Time) {
-	if r.health != nil {
-		r.health.probe(t, func(i int) bool {
-			// A shallow probe sees crashes and stalls, not brownouts.
-			return !r.faults.downAt(i, t) && !r.faults.stalledAt(i, t)
-		})
-	}
-	if r.pendingArrivals > 0 || r.outstanding > 0 {
-		r.at(t.Add(r.c.spec.ProbeEvery), r.onProbe)
-	}
-}
-
-func (r *resilientRun) onTimeout(t vclock.Time, att *attempt) {
+func (r *driver) onTimeout(att *attempt) {
 	if att.done || att.req.resolved {
 		return
 	}
 	att.done = true
 	att.req.pending--
 	r.timeouts++
-	r.brk[att.inst].onFailure(t)
+	r.brk[att.inst].onFailure(r.now)
 	r.c.insts[att.inst].srv.CancelQueued(att.token)
 	delete(r.tokens, att.token)
-	r.attemptFailed(att.req, t)
+	r.attemptFailed(att.req, r.now)
 }
 
-func (r *resilientRun) onRetry(t vclock.Time, req *creq) {
+func (r *driver) onRetry(req *creq) {
 	if req.resolved {
 		return
 	}
-	r.dispatch(req, req.lastInst, false, t)
+	r.dispatch(req, req.lastInst, false)
 }
 
-func (r *resilientRun) onHedge(t vclock.Time, req *creq) {
+func (r *driver) onHedge(req *creq) {
 	if req.resolved || req.hedged || req.pending == 0 {
 		// Already answered, already hedged, or the primary failed
 		// outright — the retry path owns recovery from failure; hedging
@@ -494,63 +319,16 @@ func (r *resilientRun) onHedge(t vclock.Time, req *creq) {
 		return
 	}
 	req.hedged = true
-	r.dispatch(req, req.lastInst, true, t)
+	r.dispatch(req, req.lastInst, true)
 }
 
 // --- dispatch --------------------------------------------------------
 
-// choose picks the dispatch target: the base router's choice, failed
-// over along the instance ring past ejected instances and open
-// breakers, skipping `exclude` (the instance a retry or hedge is
-// fleeing) unless it is the only healthy choice. Returns -1 when no
-// instance is eligible.
-func (r *resilientRun) choose(user, exclude int, now vclock.Time) int {
-	n := len(r.c.insts)
-	var snapshot []int
-	if r.c.route.NeedsLoads() {
-		for i, in := range r.c.insts {
-			r.loads[i] = in.srv.Pending()
-			if !r.health.isHealthy(i) {
-				r.loads[i] = unhealthyLoad
-			}
-		}
-		snapshot = r.loads
-	}
-	base := r.c.route.Route(user, snapshot)
-	// A rotation router's failover is to keep rotating: skipping an
-	// ejected instance by ring-scan would dump its whole share onto the
-	// ring successor, while burning a turn per skip spreads it evenly
-	// over the healthy remainder. Stateless routers (affinity) re-home
-	// by ring-scan below — the pinned user's deterministic fallback.
-	if _, rotates := r.c.route.(*roundRobin); rotates {
-		for tries := 0; tries < n && !r.health.isHealthy(base); tries++ {
-			base = r.c.route.Route(user, snapshot)
-		}
-	}
-	fallback := -1
-	for d := 0; d < n; d++ {
-		j := (base + d) % n
-		if !r.health.isHealthy(j) {
-			continue
-		}
-		if j == exclude {
-			if fallback < 0 {
-				fallback = j
-			}
-			continue
-		}
-		if r.brk[j].allow(now) {
-			return j
-		}
-	}
-	if fallback >= 0 && r.brk[fallback].allow(now) {
-		return fallback
-	}
-	return -1
-}
-
-func (r *resilientRun) dispatch(req *creq, exclude int, hedge bool, now vclock.Time) {
-	inst := r.choose(req.user, exclude, now)
+// dispatch sends one attempt of req — the original, a retry or a hedge —
+// to the instance choose picks, at the driver's clock.
+func (r *driver) dispatch(req *creq, exclude int, hedge bool) {
+	now := r.now
+	inst := r.choose(req.user, exclude)
 	if inst < 0 {
 		if hedge {
 			return // opportunistic; the primary is still in flight
@@ -571,7 +349,7 @@ func (r *resilientRun) dispatch(req *creq, exclude int, hedge bool, now vclock.T
 	req.lastInst = inst
 	in := r.c.insts[inst]
 	in.routed++
-	if r.faults.downAt(inst, now) {
+	if r.c.faults.downAt(inst, now) {
 		// Connection refused: instant failure, no service consumed. This
 		// is what feeds the breaker fastest — and what the D1 control
 		// (no health monitor) keeps paying for.
@@ -587,7 +365,7 @@ func (r *resilientRun) dispatch(req *creq, exclude int, hedge bool, now vclock.T
 		r.hedges++
 	}
 	svc := req.service
-	if f := r.faults.degradeAt(inst, now); f > 1 {
+	if f := r.c.faults.degradeAt(inst, now); f > 1 {
 		svc = vclock.Duration(float64(svc) * f)
 	}
 	tok := r.nextToken
@@ -599,46 +377,18 @@ func (r *resilientRun) dispatch(req *creq, exclude int, hedge bool, now vclock.T
 	srv, sess := in.srv, req.user%r.c.spec.Sessions
 	in.w.At(now, func() { srv.InjectTracked(sess, svc, tok) })
 	if r.c.spec.Timeout > 0 {
-		r.at(now.Add(r.c.spec.Timeout), func(t vclock.Time) { r.onTimeout(t, att) })
+		r.events.Schedule(now.Add(r.c.spec.Timeout), func() { r.onTimeout(att) })
 	}
 	if !hedge && !req.hedged && req.attempts == 1 && r.c.spec.HedgeAfter > 0 {
-		r.at(now.Add(r.hedgeDelay()), func(t vclock.Time) { r.onHedge(t, req) })
+		r.events.Schedule(now.Add(r.hedgeDelay()), func() { r.onHedge(req) })
 	}
 }
 
 // --- summary ---------------------------------------------------------
 
-func (r *resilientRun) summary() *Summary {
-	c := r.c
-	sum := &Summary{
-		Preset:    c.spec.Preset,
-		Instances: c.spec.Instances,
-		Sessions:  c.spec.Sessions,
-		Router:    c.spec.Router,
-		Admission: c.spec.Admission,
-		Seed:      c.spec.Seed,
-		Offered:   r.offered,
-		Admitted:  r.admitted,
-		Rejected:  r.rejected,
-		Goodput:   r.goodput,
-		Degraded:  r.degraded,
-		Shed:      r.shed,
-		Failed:    r.failed,
-		Completed: r.goodput + r.degraded,
-	}
-	for _, in := range c.insts { // instance-ID order: reproducible
-		ls := in.srv.Finish()
-		sum.PerInstance = append(sum.PerInstance, InstanceSummary{
-			ID:         in.id,
-			Routed:     in.routed,
-			Completed:  ls.Completed,
-			Throughput: ls.Throughput(),
-			P50Us:      ls.Latency.Percentile(0.50).Micros(),
-			P95Us:      ls.Latency.Percentile(0.95).Micros(),
-			P99Us:      ls.Latency.Percentile(0.99).Micros(),
-			MaxUs:      ls.Latency.Max().Micros(),
-		})
-	}
+// resilience builds the tracked run's mechanism ledger and merges the
+// client-observed phase recorders into agg, the run's aggregate.
+func (r *driver) resilience(agg *stats.LatencyRecorder) *ResilienceSummary {
 	res := &ResilienceSummary{
 		Timeouts:      r.timeouts,
 		Retries:       r.retriesIssued,
@@ -657,10 +407,7 @@ func (r *resilientRun) summary() *Summary {
 		res.Readmissions = r.health.readmissions
 		res.RecoveryUs = r.health.ttrMax.Micros()
 	}
-	// Aggregate percentiles are client-observed (born → answered), not
-	// server-side attempt latencies: retries and hedges must not launder
-	// the tail. Phase slices carry the before/during/after story.
-	agg := &stats.LatencyRecorder{}
+	// Phase slices carry the before/during/after story.
 	for i := range r.phases {
 		ph := &r.phases[i]
 		if ph.Count() == 0 {
@@ -676,15 +423,5 @@ func (r *resilientRun) summary() *Summary {
 			MaxUs: ph.Max().Micros(),
 		})
 	}
-	sum.Resilience = res
-	if sum.Completed > 0 && r.firstArrival != vclock.Never && r.lastResolve.After(r.firstArrival) {
-		w := r.lastResolve.Sub(r.firstArrival)
-		sum.WindowUs = w.Micros()
-		sum.Throughput = float64(sum.Completed) / w.Seconds()
-	}
-	sum.P50Us = agg.Percentile(0.50).Micros()
-	sum.P95Us = agg.Percentile(0.95).Micros()
-	sum.P99Us = agg.Percentile(0.99).Micros()
-	sum.MaxUs = agg.Max().Micros()
-	return sum
+	return res
 }

@@ -114,7 +114,7 @@ func ClusterCrashFailover(cfg Config) *Report {
 	crash := &fault.Plan{CrashInstance: []fault.CrashInstance{
 		{Instance: 1, At: dDur(220 * vclock.Millisecond), Restart: dDur(30 * vclock.Millisecond)},
 	}}
-	baseline := base // resilient path (Timeout set), no faults
+	baseline := base // tracked (Timeout set), no faults
 	blind := base
 	blind.Faults = crash
 	failover := base

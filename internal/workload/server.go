@@ -100,9 +100,6 @@ type Server struct {
 	stallUntil vclock.Time
 	cancelSet  map[uint64]bool
 	events     []Completion
-	dropped    int64
-	cancelled  int64
-	failed     int64
 
 	// stamp, when set, refreshes a session's scheduler-visible metadata
 	// from its pending queue — on each injection, after each completion
@@ -209,7 +206,6 @@ func (s *Server) sessionBody(sess *srvSession) sim.Proc {
 				// service time and reports no completion.
 				delete(s.cancelSet, req.token)
 				s.pending--
-				s.cancelled++
 				continue
 			}
 			t.Compute(req.service)
@@ -225,7 +221,6 @@ func (s *Server) sessionBody(sess *srvSession) sim.Proc {
 				if !ok {
 					// The machine died between admission and response: the
 					// work happened, the answer was never delivered.
-					s.failed++
 					continue
 				}
 			}
@@ -251,7 +246,6 @@ func (s *Server) complete(now, born vclock.Time) {
 func (s *Server) InjectTracked(i int, service vclock.Duration, token uint64) {
 	now := s.w.Now()
 	if s.down {
-		s.failed++
 		s.events = append(s.events, Completion{Token: token, At: now, OK: false})
 		return
 	}
@@ -289,7 +283,6 @@ func (s *Server) Crash() {
 	for _, sess := range s.sessions {
 		for _, r := range sess.q[sess.head:] {
 			s.pending--
-			s.dropped++
 			if r.tracked {
 				s.events = append(s.events, Completion{Token: r.token, At: now, OK: false})
 			}
@@ -302,9 +295,6 @@ func (s *Server) Crash() {
 // Restore brings a crashed instance back with cold session state (the
 // queues were emptied by Crash; nothing carries over).
 func (s *Server) Restore() { s.down = false }
-
-// Down reports whether the instance is currently crashed.
-func (s *Server) Down() bool { return s.down }
 
 // StallUntil freezes service until the given virtual time: sessions keep
 // admitting requests but complete none before it. Later deadlines win.
@@ -324,17 +314,6 @@ func (s *Server) CancelQueued(token uint64) {
 	}
 	s.cancelSet[token] = true
 }
-
-// Dropped returns the number of requests lost cold to Crash.
-func (s *Server) Dropped() int64 { return s.dropped }
-
-// Cancelled returns the number of tracked requests cancelled while
-// still queued (hedge losers that never consumed service).
-func (s *Server) Cancelled() int64 { return s.cancelled }
-
-// Undelivered returns the number of tracked requests refused by a down
-// instance or whose response was lost to a crash mid-service.
-func (s *Server) Undelivered() int64 { return s.failed }
 
 // First returns the arrival time of the first injected request (the
 // zero Time if none were injected).
