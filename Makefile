@@ -14,7 +14,7 @@ EXPLORE_BUDGET ?= 200
 COVER_PKGS = ./internal/sim ./internal/monitor ./internal/fault ./internal/cluster ./internal/eventq ./internal/sched ./internal/workload ./internal/workload/spec ./internal/workload/capacity
 COVER_FLOOR = 75
 
-.PHONY: check vet build test race bench fuzz-short explore cover knee loc
+.PHONY: check vet build test race bench ab fuzz-short explore cover knee loc
 
 check: vet build race fuzz-short explore
 
@@ -37,29 +37,42 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Benchmarks plus the fixed-seed accounting sweep: every experiment —
-# the T/F/R artifact set, the W-series load workloads, the C-series
-# cluster fleets, and the D-series resilience study — runs quick with
-# the per-thread profiler attached, and the combined metrics +
-# scheduler-accounting summary lands in
-# BENCH_PR10.json. The sweep fails if any run's accounting residue is
-# nonzero, so `make bench` also certifies the exactness invariant on the
-# full experiment population, and -benchbaseline gates the aggregate
-# events/sec against the committed BENCH_PR9.json artifact — a sweep
-# that does different work (event-count drift) or runs slower than the
-# previous PR's artifact fails. The S-series policy lab and the K-series
-# capacity lab are deliberately outside the sweep: the S population must
-# stay comparable to the baseline (the policy API's zero-cost proof),
-# and a K knee search's event count is a step function of the measured
-# knee, useless as a regression baseline. The hot-path allocs/op pin
+# The exact bench gate, then the numbers. The hot-path allocs/op pin
 # runs first: the event loop, ready queues, discard-sink tracing,
 # timing-wheel schedule/cancel, batch admission and the park/resume
-# handoff must stay allocation-free in steady state.
+# handoff must stay allocation-free in steady state. The bench pin then
+# runs the fixed-seed quick sweep — the T/F/R artifact set, the W-series
+# load workloads, the C-series cluster fleets and the D-series
+# resilience study, profiled — at several shard counts and requires its
+# deterministic payload (every experiment's events, worlds, virtual time
+# and scheduler accounting) to equal
+# cmd/threadstudy/testdata/golden/bench-quick.json. Both gates are
+# host-independent: they pass or fail the same way on any machine. The
+# Go microbenchmarks and the sweep's record (wall time and events/sec
+# included, written to .bench_build/bench.json) are measurements, not
+# gates, except that the sweep fails on any nonzero accounting residue.
+# Wall-clock comparisons come from `make ab`, on one machine. The
+# S-series policy lab and the K-series capacity lab stay outside the
+# sweep: a policy change must not move the pinned payload, and a K knee
+# search's event count is a step function of the measured knee.
 bench:
 	$(GO) test -run TestHotPathAllocs ./internal/sim
+	$(GO) test -count=1 -run TestBenchShardDeterminism ./cmd/threadstudy
 	$(GO) test -bench=. -benchmem -run='^$$'
 	$(GO) test -bench=. -benchmem -run='^$$' ./internal/sim ./internal/eventq
-	$(GO) run ./cmd/threadstudy -bench BENCH_PR10.json -benchbaseline BENCH_PR9.json
+	mkdir -p .bench_build
+	$(GO) run ./cmd/threadstudy -bench .bench_build/bench.json
+
+# Same-machine A/B of the perfbench workloads: BASE (any git revision)
+# built in a temporary git worktree against the working tree, AB_PAIRS
+# alternating runs per workload at BENCHMARK.json's run_seconds (or
+# AB_SECONDS). Prints each end-to-end metric's median ratio and the
+# base's interquartile spread; fails when a candidate median is worse
+# than the metric's BENCHMARK.json bound or more operations fail.
+AB_PAIRS ?= 10
+ab:
+	@test -n "$(BASE)" || { echo "usage: make ab BASE=<rev> [AB_PAIRS=n] [AB_SECONDS=s] [AB_WORKLOADS=...]"; exit 2; }
+	bash scripts/ab.sh "$(BASE)" "$(AB_PAIRS)" "$(AB_SECONDS)" "$(AB_WORKLOADS)"
 
 # Short coverage-guided fuzzing of the attacker-facing parsers — JSON
 # fault plans, JSON workload specs, and the binary trace codec (decode

@@ -10,25 +10,25 @@ import (
 	"testing"
 )
 
-// normalizeBench strips the wall-clock-derived fields from a bench
-// artifact — per-experiment wall time, throughput ratios and allocator
-// deltas, plus the run-level wall total and machine knobs — leaving
-// only the deterministic virtual-time payload. Everything that survives
-// must be byte-identical between runs regardless of -shards.
-func normalizeBench(t *testing.T, path string) (whole string, perExp map[string]string) {
+// benchGolden pins the -bench sweep's deterministic payload.
+var benchGolden = filepath.Join("testdata", "golden", "bench-quick.json")
+
+// normalizeBench zeroes the wall-clock-derived fields of a bench record
+// — per-experiment wall time, throughput ratios and allocator deltas,
+// plus the run-level wall total and machine knobs — leaving only the
+// deterministic virtual-time payload: every experiment's events,
+// worlds, virtual time and accounting, and the benchmark world's block.
+// It returns that payload in the record's own indented JSON form.
+func normalizeBench(t *testing.T, raw []byte) (jsonSummary, []byte) {
 	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum benchSummary
+	var sum jsonSummary
 	if err := json.Unmarshal(raw, &sum); err != nil {
-		t.Fatalf("%s: %v", path, err)
+		t.Fatal(err)
 	}
 	sum.TotalWall = 0
 	sum.Parallelism = 0
 	sum.Shards = 0
-	perExp = make(map[string]string, len(sum.Experiments))
+	sum.GoMaxProcs = 0
 	for i := range sum.Experiments {
 		e := &sum.Experiments[i]
 		e.WallTime = 0
@@ -36,35 +36,30 @@ func normalizeBench(t *testing.T, path string) (whole string, perExp map[string]
 		e.VirtualPerWall = 0
 		e.AllocBytes = 0
 		e.AllocObjects = 0
-		one, err := json.Marshal(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		perExp[e.ID] = string(one)
 	}
-	all, err := json.Marshal(sum)
+	data, err := json.MarshalIndent(sum, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(all), perExp
+	return sum, append(data, '\n')
 }
 
 // TestBenchShardDeterminism runs the full -bench sweep at shard counts
-// {1, 4, GOMAXPROCS} and requires the artifacts to be byte-identical
-// modulo wall-clock fields. This is the acceptance bar for widening
-// Spec.Shards into the default `make bench` path: parallelism may only
-// change how fast the artifact is produced, never its contents. The
-// suite also runs under -race, so shard fan-out is exercised with the
-// race detector watching the cluster advance loops.
+// {1, 4, GOMAXPROCS} and requires each record's deterministic payload
+// to equal testdata/golden/bench-quick.json byte for byte: parallelism
+// may only change how fast the record is produced, never its contents,
+// and any change in the work the sweep does — an event count, a world,
+// an accounting field, an experiment added or lost — fails here and is
+// named. Regenerate the file with `go test -run TestBenchShardDeterminism
+// ./cmd/threadstudy -update` when the change is intended. The suite also
+// runs under -race, so shard fan-out is exercised with the race detector
+// watching the cluster advance loops.
 func TestBenchShardDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full bench sweep per shard value; skipped in -short")
 	}
-	shardVals := []int{1, 4, runtime.GOMAXPROCS(0)}
 	seen := map[int]bool{}
-	var baseWhole string
-	var basePer map[string]string
-	for _, sh := range shardVals {
+	for _, sh := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		if seen[sh] {
 			continue
 		}
@@ -75,25 +70,66 @@ func TestBenchShardDeterminism(t *testing.T) {
 		if code := run(args, &stdout, &stderr); code != 0 {
 			t.Fatalf("run(%v) = %d, stderr: %s", args, code, stderr.String())
 		}
-		whole, per := normalizeBench(t, path)
-		if basePer == nil {
-			baseWhole, basePer = whole, per
-			continue
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if whole == baseWhole {
-			continue
-		}
-		// Name the diverging experiments rather than dumping two blobs.
-		for id, want := range basePer {
-			if got, ok := per[id]; !ok {
-				t.Errorf("shards=%d: experiment %s missing", sh, id)
-			} else if got != want {
-				t.Errorf("shards=%d: experiment %s diverged from shards=1", sh, id)
+		got, data := normalizeBench(t, raw)
+		if *updateGolden && len(seen) == 1 {
+			if err := os.WriteFile(benchGolden, data, 0o644); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if len(per) != len(basePer) {
-			t.Errorf("shards=%d: %d experiments, want %d", sh, len(per), len(basePer))
+		wantData, err := os.ReadFile(benchGolden)
+		if err != nil {
+			t.Fatalf("missing golden file (generate with -update): %v", err)
 		}
-		t.Errorf("shards=%d: bench JSON diverged from shards=1", sh)
+		if bytes.Equal(data, wantData) {
+			continue
+		}
+		want, _ := normalizeBench(t, wantData)
+		diffBench(t, sh, got, want)
+		t.Errorf("shards=%d: bench record differs from %s (regenerate with -update if intended)", sh, benchGolden)
 	}
+}
+
+// diffBench names every experiment whose deterministic payload differs
+// between got and want, rather than dumping two blobs.
+func diffBench(t *testing.T, shards int, got, want jsonSummary) {
+	t.Helper()
+	wantExp := make(map[string]experimentRecord, len(want.Experiments))
+	for _, e := range want.Experiments {
+		wantExp[e.ID] = e
+	}
+	gotIDs := make(map[string]bool, len(got.Experiments))
+	for i, e := range got.Experiments {
+		gotIDs[e.ID] = true
+		w, ok := wantExp[e.ID]
+		switch {
+		case !ok:
+			t.Errorf("shards=%d: experiment %s is not in the golden sweep", shards, e.ID)
+		case mustJSON(t, e) != mustJSON(t, w):
+			t.Errorf("shards=%d: experiment %s diverged: %d events in %d worlds, golden %d events in %d worlds",
+				shards, e.ID, e.Events, e.Worlds, w.Events, w.Worlds)
+		case i >= len(want.Experiments) || want.Experiments[i].ID != e.ID:
+			t.Errorf("shards=%d: experiment %s moved to position %d", shards, e.ID, i)
+		}
+	}
+	for _, e := range want.Experiments {
+		if !gotIDs[e.ID] {
+			t.Errorf("shards=%d: experiment %s is missing from the sweep", shards, e.ID)
+		}
+	}
+	if mustJSON(t, got.Benchmark) != mustJSON(t, want.Benchmark) {
+		t.Errorf("shards=%d: the %s benchmark block diverged", shards, benchWorld)
+	}
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }

@@ -15,7 +15,8 @@
 //	threadstudy -parallel 4      # worker-pool parallelism (default GOMAXPROCS);
 //	                             # output is byte-identical to -parallel 1
 //	threadstudy -json out.json   # also write per-experiment metrics
-//	                             # (wall time, virtual time, events, events/sec)
+//	                             # (wall time, virtual time, events, events/sec);
+//	                             # with -json - stdout holds only the JSON
 //	threadstudy -verify          # run each experiment twice, concurrently,
 //	                             # and fail on any output difference
 //	threadstudy -trace out.bin -benchmark "Cedar/Idle Cedar"
@@ -29,10 +30,12 @@
 //	                             # trace-event JSON (load in Perfetto)
 //	threadstudy -profilejson out.json
 //	                             # machine-readable accounting summary
-//	threadstudy -bench BENCH.json
+//	threadstudy -bench bench.json
 //	                             # fixed-seed quick sweep of every
 //	                             # experiment with profiling; write the
-//	                             # combined metrics+accounting JSON
+//	                             # -json record plus accounting (its
+//	                             # deterministic payload is pinned in
+//	                             # testdata/golden/bench-quick.json)
 //	threadstudy -faults plan.json -experiment R1
 //	                             # replace the R-series' built-in fault
 //	                             # plans with one loaded from JSON
@@ -104,19 +107,53 @@ func main() {
 // version 1. The schemas are documented in EXPERIMENTS.md.
 const outputSchema = 1
 
-// jsonSummary is the machine-readable -json report: enough context to
-// reproduce the run (seed, quick, parallelism) plus one Metrics record
-// per experiment in presentation order. BENCH_*.json trajectory tracking
-// consumes these.
+// jsonSummary is the machine-readable record -json and -bench write:
+// enough context to reproduce the run (seed, quick, parallelism,
+// shards) plus one record per experiment in presentation order. -bench
+// adds each experiment's scheduler accounting and the accounting of the
+// default benchmark world. Wall-clock fields vary between machines;
+// every virtual-time field is deterministic.
 type jsonSummary struct {
-	Schema      int                   `json:"schema"`
-	Seed        int64                 `json:"seed"`
-	Quick       bool                  `json:"quick"`
-	Parallelism int                   `json:"parallelism"`
-	GoMaxProcs  int                   `json:"gomaxprocs"`
-	Verify      bool                  `json:"verify,omitempty"`
-	TotalWall   time.Duration         `json:"total_wall_ns"`
-	Experiments []experiments.Metrics `json:"experiments"`
+	Schema      int                `json:"schema"`
+	Seed        int64              `json:"seed"`
+	Quick       bool               `json:"quick"`
+	Parallelism int                `json:"parallelism"`
+	Shards      int                `json:"shards,omitempty"`
+	GoMaxProcs  int                `json:"gomaxprocs"`
+	Verify      bool               `json:"verify,omitempty"`
+	TotalWall   time.Duration      `json:"total_wall_ns"`
+	Experiments []experimentRecord `json:"experiments"`
+	Benchmark   *benchmarkRecord   `json:"benchmark,omitempty"`
+}
+
+// experimentRecord is one experiment's metrics plus, in a -bench sweep,
+// its aggregated scheduler accounting.
+type experimentRecord struct {
+	experiments.Metrics
+	Profile *profile.Summary `json:"profile,omitempty"`
+}
+
+// benchmarkRecord is the accounting of one profiled benchmark world.
+type benchmarkRecord struct {
+	Name    string          `json:"name"`
+	Profile profile.Summary `json:"profile"`
+}
+
+// newSummary builds the record of one experiment run under cfg.
+func newSummary(cfg experiments.Config, parallel int, wall time.Duration, outcomes []experiments.Outcome) jsonSummary {
+	sum := jsonSummary{
+		Schema:      outputSchema,
+		Seed:        cfg.Seed,
+		Quick:       cfg.Quick,
+		Parallelism: parallel,
+		Shards:      cfg.Shards,
+		GoMaxProcs:  runtime.GOMAXPROCS(0),
+		TotalWall:   wall,
+	}
+	for _, o := range outcomes {
+		sum.Experiments = append(sum.Experiments, experimentRecord{Metrics: o.Metrics, Profile: o.Profile})
+	}
+	return sum
 }
 
 // run is main with its dependencies injected, so the CLI surface —
@@ -134,9 +171,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		verify    = fs.Bool("verify", false, "run each experiment twice concurrently and fail on nondeterminism")
 		seed      = fs.Int64("seed", 1, "deterministic seed (must be nonzero)")
 		parallel  = fs.Int("parallel", runtime.GOMAXPROCS(0), "number of experiments to run concurrently")
-		jsonOut   = fs.String("json", "", "write a machine-readable metrics summary to this file (\"-\" for stdout)")
+		jsonOut   = fs.String("json", "", "write a machine-readable metrics summary to this file (\"-\": stdout, which then holds only the JSON)")
 		traceOut  = fs.String("trace", "", "write a benchmark's binary event trace to this file")
-		benchName = fs.String("benchmark", "Cedar/Idle Cedar", "benchmark for -trace, as System/Name")
+		benchName = fs.String("benchmark", benchWorld, "benchmark for -trace, as System/Name")
 		traceDur  = fs.Duration("traceduration", 5*time.Second, "virtual duration for -trace (wall-clock syntax, interpreted as virtual time)")
 		faultsIn  = fs.String("faults", "", "JSON fault plan replacing the R-series experiments' built-in plans")
 		faultSeed = fs.Int64("faultseed", 0, "seed for the fault injector RNG (default: derived from -seed)")
@@ -145,8 +182,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		profFlag  = fs.Bool("profile", false, "print per-thread scheduler accounting for the -benchmark world")
 		chromeOut = fs.String("chrometrace", "", "write the profiled -benchmark run as Chrome trace-event JSON to this file")
 		profJSON  = fs.String("profilejson", "", "write the profiled run's accounting summary as JSON (\"-\" for stdout)")
-		benchOut  = fs.String("bench", "", "run the fixed-seed quick sweep with profiling and write combined JSON to this file (\"-\" for stdout)")
-		benchBase = fs.String("benchbaseline", "", "compare the -bench sweep against this baseline JSON and fail if aggregate events/sec regresses")
+		benchOut  = fs.String("bench", "", "run the fixed-seed quick sweep with profiling and write its metrics and accounting JSON to this file (\"-\" for stdout)")
 		shards    = fs.Int("shards", 0, "cluster advance parallelism for the C/D-series fleets (0: GOMAXPROCS; output is byte-identical at any value)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -181,9 +217,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *shards == 0 {
 		*shards = runtime.GOMAXPROCS(0)
-	}
-	if *benchBase != "" && *benchOut == "" {
-		return fs.Fail(fmt.Errorf("-benchbaseline requires -bench"))
 	}
 	// -series enables opt-in experiment series by one-letter key, in the
 	// order given. A duplicated or unknown key is a usage error.
@@ -281,7 +314,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *benchOut != "" {
-		if err := runBench(stdout, *benchOut, *parallel, *shards, *benchBase); err != nil {
+		if err := runBench(stdout, *benchOut, *parallel, *shards); err != nil {
 			return fs.Error(err)
 		}
 		return cliflag.ExitOK
@@ -327,6 +360,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	// With the record going to stdout, keep stdout pure JSON: the text
+	// reports are dropped, as -bench - drops its progress line.
+	out := stdout
+	if *jsonOut == "-" {
+		out = io.Discard
+	}
 	failed := false
 	start := time.Now()
 	outcomes := experiments.RunWith(cfg, experiments.Options{
@@ -341,23 +380,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 					fmt.Fprintf(stderr, "threadstudy: %s is NOT deterministic\n", o.Report.ID)
 					failed = true
 				} else {
-					fmt.Fprintf(stdout, "%-4s deterministic ok\n", o.Report.ID)
+					fmt.Fprintf(out, "%-4s deterministic ok\n", o.Report.ID)
 				}
 				return
 			}
 			if *format == "markdown" {
-				fmt.Fprintln(stdout, o.Report.Markdown())
+				fmt.Fprintln(out, o.Report.Markdown())
 			} else {
-				fmt.Fprintln(stdout, o.Report.String())
+				fmt.Fprintln(out, o.Report.String())
 			}
 			if *audit {
 				if len(o.Audit) == 0 {
-					fmt.Fprintf(stdout, "audit %s: no suspicious condition variables\n\n", o.Report.ID)
+					fmt.Fprintf(out, "audit %s: no suspicious condition variables\n\n", o.Report.ID)
 				} else {
 					for _, f := range o.Audit {
-						fmt.Fprintf(stdout, "audit %s: %s\n", o.Report.ID, f)
+						fmt.Fprintf(out, "audit %s: %s\n", o.Report.ID, f)
 					}
-					fmt.Fprintln(stdout)
+					fmt.Fprintln(out)
 				}
 			}
 		},
@@ -365,18 +404,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	totalWall := time.Since(start)
 
 	if *jsonOut != "" {
-		sum := jsonSummary{
-			Schema:      outputSchema,
-			Seed:        *seed,
-			Quick:       *quick,
-			Parallelism: *parallel,
-			GoMaxProcs:  runtime.GOMAXPROCS(0),
-			Verify:      *verify,
-			TotalWall:   totalWall,
-		}
-		for _, o := range outcomes {
-			sum.Experiments = append(sum.Experiments, o.Metrics)
-		}
+		sum := newSummary(cfg, *parallel, totalWall, outcomes)
+		sum.Verify = *verify
 		if err := writeJSON(*jsonOut, stdout, sum); err != nil {
 			return fs.Error(err)
 		}
@@ -387,9 +416,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return cliflag.ExitOK
 }
 
-// writeJSON marshals sum to path, or to stdout when path is "-".
-func writeJSON(path string, stdout io.Writer, sum jsonSummary) error {
-	data, err := json.MarshalIndent(sum, "", "  ")
+// writeJSON marshals v to path, or to stdout when path is "-".
+func writeJSON(path string, stdout io.Writer, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -462,26 +491,33 @@ type profileOpts struct {
 	jsonPath string // accounting-summary JSON path, "" to skip, "-" for stdout
 }
 
-// profileBenchmark runs one benchmark with an attached profiler and
-// renders the per-thread scheduler accounting in the requested forms.
-func profileBenchmark(stdout io.Writer, o profileOpts) error {
-	b, err := findBench(o.bench)
+// runProfiled builds the named benchmark's world with a profiler
+// attached, runs it for dur of virtual time and returns its profile.
+func runProfiled(bench string, seed int64, dur vclock.Duration, keepSpans bool) (*profile.Profile, error) {
+	b, err := findBench(bench)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	set := profile.NewSet()
-	set.KeepSpans = o.chrome != ""
+	set.KeepSpans = keepSpans
 	w := sim.NewWorld(sim.Config{
-		Seed:         o.seed,
+		Seed:         seed,
 		SystemDaemon: true,
 		Hooks:        sim.Hooks{OnWorld: set.Attach},
 	})
 	defer w.Shutdown()
-	reg := paradigm.NewRegistry()
-	b.Build(w, reg)
-	w.Run(vclock.Time(0).Add(o.dur))
+	b.Build(w, paradigm.NewRegistry())
+	w.Run(vclock.Time(0).Add(dur))
+	return set.Finish()[0], nil
+}
 
-	prof := set.Finish()[0]
+// profileBenchmark runs one benchmark with an attached profiler and
+// renders the per-thread scheduler accounting in the requested forms.
+func profileBenchmark(stdout io.Writer, o profileOpts) error {
+	prof, err := runProfiled(o.bench, o.seed, o.dur, o.chrome != "")
+	if err != nil {
+		return err
+	}
 	if o.print {
 		rep := profile.NewReport(prof)
 		if o.markdown {
@@ -511,57 +547,25 @@ func profileBenchmark(stdout io.Writer, o profileOpts) error {
 			Schema int `json:"schema"`
 			profile.Summary
 		}{outputSchema, profile.Summarize(prof)}
-		data, err := json.MarshalIndent(sum, "", "  ")
-		if err != nil {
+		if err := writeJSON(o.jsonPath, stdout, sum); err != nil {
 			return err
 		}
-		data = append(data, '\n')
-		if o.jsonPath == "-" {
-			_, err = stdout.Write(data)
-			return err
+		if o.jsonPath != "-" {
+			fmt.Fprintf(stdout, "wrote accounting summary to %s\n", o.jsonPath)
 		}
-		if err := os.WriteFile(o.jsonPath, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote accounting summary to %s\n", o.jsonPath)
 	}
 	return nil
 }
 
-// benchExperiment is one sweep entry of the -bench summary: the run's
-// metrics plus its aggregated scheduler accounting.
-type benchExperiment struct {
-	experiments.Metrics
-	Profile *profile.Summary `json:"profile,omitempty"`
-}
+// benchWorld is the benchmark whose accounting closes every -bench record.
+const benchWorld = "Cedar/Idle Cedar"
 
-// benchSummary is the -bench output (BENCH_PR7.json): a fixed-seed quick
-// sweep of every experiment — the T/F/R set plus the W-series load
-// workloads, the C-series cluster fleets, and the D-series resilience
-// study — with profiling on, plus the accounting summary of the default
-// benchmark world. Wall-clock fields vary between machines; every
-// virtual-time field is deterministic.
-type benchSummary struct {
-	Schema      int               `json:"schema"`
-	Seed        int64             `json:"seed"`
-	Quick       bool              `json:"quick"`
-	Parallelism int               `json:"parallelism"`
-	Shards      int               `json:"shards,omitempty"`
-	GoMaxProcs  int               `json:"gomaxprocs"`
-	TotalWall   time.Duration     `json:"total_wall_ns"`
-	Experiments []benchExperiment `json:"experiments"`
-	Benchmark   struct {
-		Name    string          `json:"name"`
-		Profile profile.Summary `json:"profile"`
-	} `json:"benchmark"`
-}
-
-// runBench executes the benchmark sweep and writes the combined JSON.
-// A nonzero accounting residue anywhere fails the run: the exactness
-// invariant is part of what the bench artifact certifies. When baseline
-// names a previous bench artifact, the run also fails if aggregate
-// events/sec regresses below it.
-func runBench(stdout io.Writer, path string, parallel, shards int, baseline string) error {
+// runBench executes the benchmark sweep — a fixed-seed quick run of
+// every experiment with profiling on — and writes its record. A nonzero
+// accounting residue anywhere fails the run: the exactness invariant is
+// part of what the bench record certifies. The record's deterministic
+// payload is pinned by TestBenchShardDeterminism.
+func runBench(stdout io.Writer, path string, parallel, shards int) error {
 	// The sweep is a throughput benchmark over fixed deterministic work:
 	// virtual results do not depend on collector cadence, so amortize GC
 	// across the run instead of collecting at the default 100% heap-growth
@@ -575,120 +579,33 @@ func runBench(stdout io.Writer, path string, parallel, shards int, baseline stri
 		Profile:     true,
 		// The sweep covers the full population: the T/F/R artifact set,
 		// the W-series load workloads, the C-series cluster fleets, and
-		// the D-series resilience study, so the bench artifact tracks
+		// the D-series resilience study, so the bench record tracks
 		// report fidelity, server-scale throughput, fleet-scale SLOs and
 		// fault-tolerance behavior together.
 		Experiments: append(append(append(experiments.All(),
 			experiments.WSeries()...), experiments.CSeries()...), experiments.DSeries()...),
 	})
-	sum := benchSummary{
-		Schema:      outputSchema,
-		Seed:        1,
-		Quick:       true,
-		Parallelism: parallel,
-		Shards:      shards,
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		TotalWall:   time.Since(start),
-	}
-	for _, o := range outcomes {
-		sum.Experiments = append(sum.Experiments, benchExperiment{Metrics: o.Metrics, Profile: o.Profile})
-		if o.Profile != nil && o.Profile.Residue != 0 {
-			return fmt.Errorf("%s: accounting residue %dus (want 0)", o.Metrics.ID, int64(o.Profile.Residue))
+	sum := newSummary(cfg, parallel, time.Since(start), outcomes)
+	for _, e := range sum.Experiments {
+		if e.Profile != nil && e.Profile.Residue != 0 {
+			return fmt.Errorf("%s: accounting residue %dus (want 0)", e.ID, int64(e.Profile.Residue))
 		}
 	}
 
-	b, err := findBench("Cedar/Idle Cedar")
+	prof, err := runProfiled(benchWorld, 1, 5*vclock.Second, false)
 	if err != nil {
 		return err
 	}
-	set := profile.NewSet()
-	w := sim.NewWorld(sim.Config{
-		Seed:         1,
-		SystemDaemon: true,
-		Hooks:        sim.Hooks{OnWorld: set.Attach},
-	})
-	defer w.Shutdown()
-	reg := paradigm.NewRegistry()
-	b.Build(w, reg)
-	w.Run(vclock.Time(0).Add(5 * vclock.Second))
-	sum.Benchmark.Name = "Cedar/Idle Cedar"
-	sum.Benchmark.Profile = set.Summary()
+	sum.Benchmark = &benchmarkRecord{Name: benchWorld, Profile: profile.Summarize(prof)}
 	if r := sum.Benchmark.Profile.Residue; r != 0 {
 		return fmt.Errorf("benchmark profile: accounting residue %dus (want 0)", int64(r))
 	}
 
-	if baseline != "" {
-		// With the summary going to stdout, keep stdout pure JSON: the
-		// gate still fails loudly, only its progress line is suppressed.
-		gateOut := stdout
-		if path == "-" {
-			gateOut = io.Discard
-		}
-		if err := checkBenchBaseline(gateOut, sum, baseline); err != nil {
-			return err
-		}
-	}
-
-	data, err := json.MarshalIndent(sum, "", "  ")
-	if err != nil {
+	if err := writeJSON(path, stdout, sum); err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = stdout.Write(data)
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "wrote bench summary (%d experiments) to %s\n", len(sum.Experiments), path)
-	return nil
-}
-
-// aggregateRate returns total events over total per-experiment wall time
-// in events/sec — the headline the BENCH_*.json trajectory tracks.
-func aggregateRate(exps []benchExperiment) (events int64, rate float64) {
-	var wall time.Duration
-	for _, e := range exps {
-		events += e.Events
-		wall += e.WallTime
-	}
-	if wall <= 0 {
-		return events, 0
-	}
-	return events, float64(events) / wall.Seconds()
-}
-
-// checkBenchBaseline fails the bench run if the new sweep's aggregate
-// events/sec fell below the baseline artifact's, or if the deterministic
-// per-experiment event counts drifted — a drifted count means the two
-// sweeps did different work, which would make the rate gate meaningless.
-func checkBenchBaseline(stdout io.Writer, sum benchSummary, path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("benchbaseline: %w", err)
-	}
-	var base benchSummary
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("benchbaseline %s: %w", path, err)
-	}
-	baseEvents := make(map[string]int64, len(base.Experiments))
-	for _, e := range base.Experiments {
-		baseEvents[e.ID] = e.Events
-	}
-	for _, e := range sum.Experiments {
-		if want, ok := baseEvents[e.ID]; ok && want != e.Events {
-			return fmt.Errorf("benchbaseline %s: %s processed %d events, baseline %d — deterministic work drifted",
-				path, e.ID, e.Events, want)
-		}
-	}
-	_, baseRate := aggregateRate(base.Experiments)
-	events, rate := aggregateRate(sum.Experiments)
-	fmt.Fprintf(stdout, "bench aggregate: %d events at %.0f events/sec (baseline %.0f, %.2fx)\n",
-		events, rate, baseRate, rate/baseRate)
-	if rate < baseRate {
-		return fmt.Errorf("benchbaseline %s: aggregate %.0f events/sec regressed below baseline %.0f",
-			path, rate, baseRate)
+	if path != "-" {
+		fmt.Fprintf(stdout, "wrote bench summary (%d experiments) to %s\n", len(sum.Experiments), path)
 	}
 	return nil
 }

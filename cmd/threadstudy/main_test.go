@@ -133,6 +133,8 @@ func TestCLIValidation(t *testing.T) {
 		{"faultseed without faults on series d warns",
 			[]string{"-series", "d", "-quick", "-faultseed", "9"}, 0, "has no effect on the D series", "D1"},
 		{"unknown flag", []string{"-nope"}, 2, "flag provided but not defined", ""},
+		{"removed bench baseline flag rejected",
+			[]string{"-benchbaseline", "x"}, 2, "flag provided but not defined: -benchbaseline", ""},
 		{"missing fault plan rejected",
 			[]string{"-faults", filepath.Join(t.TempDir(), "nope.json")}, 2, "no such file", ""},
 		{"instance-scoped fault plan rejected at the flag",
@@ -283,11 +285,11 @@ func TestCLIAudit(t *testing.T) {
 }
 
 // TestCLIJSONSummary: -json writes a parseable summary with populated
-// per-experiment metrics.
+// per-experiment metrics and the run's -shards width.
 func TestCLIJSONSummary(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-experiment", "F6", "-quick", "-json", path}, &stdout, &stderr)
+	code := run([]string{"-experiment", "F6", "-quick", "-shards", "3", "-json", path}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
@@ -299,12 +301,31 @@ func TestCLIJSONSummary(t *testing.T) {
 	if err := json.Unmarshal(data, &sum); err != nil {
 		t.Fatalf("unmarshal: %v\n%s", err, data)
 	}
-	if sum.Seed != 1 || !sum.Quick || len(sum.Experiments) != 1 {
+	if sum.Seed != 1 || !sum.Quick || sum.Shards != 3 || len(sum.Experiments) != 1 {
 		t.Fatalf("summary header wrong: %+v", sum)
 	}
 	m := sum.Experiments[0]
 	if m.ID != "F6" || m.WallTime <= 0 || m.VirtualTime <= 0 || m.Events <= 0 || m.EventsPerSec <= 0 {
 		t.Errorf("metrics not populated: %+v", m)
+	}
+	if m.Profile != nil || sum.Benchmark != nil {
+		t.Errorf("-json carries -bench accounting: %+v", sum)
+	}
+}
+
+// TestCLIJSONStdout: with -json -, stdout is the JSON record and
+// nothing else, so it pipes straight into a JSON parser.
+func TestCLIJSONStdout(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-experiment", "T4", "-quick", "-json", "-"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	var sum jsonSummary
+	if err := json.Unmarshal(stdout.Bytes(), &sum); err != nil {
+		t.Fatalf("stdout is not one JSON document: %v\n%s", err, stdout.String())
+	}
+	if len(sum.Experiments) != 1 || sum.Experiments[0].ID != "T4" || sum.Experiments[0].Events <= 0 {
+		t.Errorf("record missing the T4 metrics: %+v", sum)
 	}
 }
 

@@ -47,6 +47,7 @@ type driver struct {
 	probe   func()       // onProbe, bound once
 
 	tokens    map[uint64]*attempt
+	drained   []instCompletion // drainCompletions' reused sort buffer
 	nextToken uint64
 	loads     []int
 

@@ -1,7 +1,8 @@
 package cluster
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/stats"
 	"repro/internal/vclock"
@@ -146,25 +147,28 @@ type attempt struct {
 // client state machine in (time, instance-ID) order — the only order
 // that is independent of how worlds were dealt onto shards.
 func (r *driver) drainCompletions() {
-	type tagged struct {
-		inst int
-		cp   workload.Completion
-	}
-	var all []tagged
+	all := r.drained[:0]
 	for i, in := range r.c.insts { // instance-ID order
 		for _, cp := range in.srv.Drain() {
-			all = append(all, tagged{i, cp})
+			all = append(all, instCompletion{i, cp})
 		}
 	}
-	sort.SliceStable(all, func(a, b int) bool {
-		if all[a].cp.At != all[b].cp.At {
-			return all[a].cp.At.Before(all[b].cp.At)
+	slices.SortStableFunc(all, func(a, b instCompletion) int {
+		if c := cmp.Compare(a.cp.At, b.cp.At); c != 0 {
+			return c
 		}
-		return all[a].inst < all[b].inst
+		return cmp.Compare(a.inst, b.inst)
 	})
 	for _, tc := range all {
 		r.onCompletion(tc.inst, tc.cp)
 	}
+	r.drained = all
+}
+
+// instCompletion is one drained Completion tagged with its instance.
+type instCompletion struct {
+	inst int
+	cp   workload.Completion
 }
 
 func (r *driver) onCompletion(inst int, cp workload.Completion) {

@@ -236,8 +236,9 @@ func SchedPromptness(cfg Config) *Report {
 // SSeries returns the scheduling-policy experiments, in presentation
 // order. Like the W series, they are not part of All(): the S series
 // runs only on explicit request (threadstudy -series s), and it is
-// deliberately kept out of the bench sweep so the BENCH baseline's
-// per-experiment event counts stay comparable across PRs.
+// deliberately kept out of the bench sweep so the sweep's pinned
+// per-experiment payload (cmd/threadstudy/testdata/golden/bench-quick.json)
+// does not move when a policy is added or retuned.
 func SSeries() []Experiment {
 	return []Experiment{
 		{"S1", "Scheduling-policy lab over an interactive/bulk/batch mix", SchedPolicyLab},
