@@ -64,15 +64,14 @@ bench:
 	$(GO) run ./cmd/threadstudy -bench .bench_build/bench.json
 
 # Same-machine A/B of the perfbench workloads: BASE (any git revision)
-# built in a temporary git worktree against the working tree, AB_PAIRS
-# alternating runs per workload at BENCHMARK.json's run_seconds (or
-# AB_SECONDS). Prints each end-to-end metric's median ratio and the
-# base's interquartile spread; fails when a candidate median is worse
-# than the metric's BENCHMARK.json bound or more operations fail.
-AB_PAIRS ?= 10
+# built in a temporary git worktree against the working tree, 10
+# alternating pairs per BENCHMARK.json workload at its run_seconds.
+# Prints each end-to-end metric's median ratio and the base's
+# interquartile spread; fails when a candidate median is worse than the
+# metric's BENCHMARK.json bound or more operations fail.
 ab:
-	@test -n "$(BASE)" || { echo "usage: make ab BASE=<rev> [AB_PAIRS=n] [AB_SECONDS=s] [AB_WORKLOADS=...]"; exit 2; }
-	bash scripts/ab.sh "$(BASE)" "$(AB_PAIRS)" "$(AB_SECONDS)" "$(AB_WORKLOADS)"
+	@test -n "$(BASE)" || { echo "usage: make ab BASE=<rev>"; exit 2; }
+	bash scripts/ab.sh "$(BASE)"
 
 # Short coverage-guided fuzzing of the attacker-facing parsers — JSON
 # fault plans, JSON workload specs, and the binary trace codec (decode

@@ -17,6 +17,7 @@
 //	threadstudy -json out.json   # also write per-experiment metrics
 //	                             # (wall time, virtual time, events, events/sec);
 //	                             # with -json - stdout holds only the JSON
+//	                             # and the text reports go to stderr
 //	threadstudy -verify          # run each experiment twice, concurrently,
 //	                             # and fail on any output difference
 //	threadstudy -trace out.bin -benchmark "Cedar/Idle Cedar"
@@ -171,7 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		verify    = fs.Bool("verify", false, "run each experiment twice concurrently and fail on nondeterminism")
 		seed      = fs.Int64("seed", 1, "deterministic seed (must be nonzero)")
 		parallel  = fs.Int("parallel", runtime.GOMAXPROCS(0), "number of experiments to run concurrently")
-		jsonOut   = fs.String("json", "", "write a machine-readable metrics summary to this file (\"-\": stdout, which then holds only the JSON)")
+		jsonOut   = fs.String("json", "", "write a machine-readable metrics summary to this file (\"-\": stdout, which then holds only the JSON; the text reports go to stderr)")
 		traceOut  = fs.String("trace", "", "write a benchmark's binary event trace to this file")
 		benchName = fs.String("benchmark", benchWorld, "benchmark for -trace, as System/Name")
 		traceDur  = fs.Duration("traceduration", 5*time.Second, "virtual duration for -trace (wall-clock syntax, interpreted as virtual time)")
@@ -361,10 +362,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// With the record going to stdout, keep stdout pure JSON: the text
-	// reports are dropped, as -bench - drops its progress line.
+	// reports and audit findings go to stderr instead.
 	out := stdout
 	if *jsonOut == "-" {
-		out = io.Discard
+		out = stderr
 	}
 	failed := false
 	start := time.Now()

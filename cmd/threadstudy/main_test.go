@@ -314,7 +314,9 @@ func TestCLIJSONSummary(t *testing.T) {
 }
 
 // TestCLIJSONStdout: with -json -, stdout is the JSON record and
-// nothing else, so it pipes straight into a JSON parser.
+// nothing else, so it pipes straight into a JSON parser; the text
+// reports, and the -audit findings that the record does not carry, go
+// to stderr.
 func TestCLIJSONStdout(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-experiment", "T4", "-quick", "-json", "-"}, &stdout, &stderr); code != 0 {
@@ -326,6 +328,22 @@ func TestCLIJSONStdout(t *testing.T) {
 	}
 	if len(sum.Experiments) != 1 || sum.Experiments[0].ID != "T4" || sum.Experiments[0].Events <= 0 {
 		t.Errorf("record missing the T4 metrics: %+v", sum)
+	}
+	if !strings.Contains(stderr.String(), "T4") {
+		t.Errorf("the T4 text report did not reach stderr: %q", stderr.String())
+	}
+
+	stdout.Reset()
+	stderr.Reset()
+	args := []string{"-experiment", "F8", "-quick", "-audit", "-auditmin", "1", "-json", "-"}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("-audit -json -: exit %d, stderr: %s", code, stderr.String())
+	}
+	if err := json.Unmarshal(stdout.Bytes(), &sum); err != nil {
+		t.Fatalf("-audit -json -: stdout is not one JSON document: %v\n%s", err, stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "audit F8: ") || !strings.Contains(stderr.String(), "masked-missing-NOTIFY") {
+		t.Errorf("-audit -json - lost the audit findings; stderr: %q", stderr.String())
 	}
 }
 

@@ -2,17 +2,17 @@
 # Same-machine A/B comparison of the perfbench workloads: a base git
 # revision against the working tree.
 #
-#   bash scripts/ab.sh BASE [PAIRS] [SECONDS] [WORKLOADS]
-#   make ab BASE=<rev> [AB_PAIRS=10] [AB_SECONDS=<s>] [AB_WORKLOADS="desktop fleet"]
+#   bash scripts/ab.sh BASE
+#   make ab BASE=<rev>
 #
 # BASE is checked out into a temporary git worktree. For every workload
-# in BENCHMARK.json (or the space-separated WORKLOADS), the script runs
-# PAIRS alternating base/candidate pairs of
+# in BENCHMARK.json, the script runs 10 alternating base/candidate pairs
+# of
 #
 #   bash perfbench/run.sh --workload W --seed 1 --seconds S
 #
-# where S is SECONDS if given, else BENCHMARK.json's run_seconds; the
-# order within a pair alternates so drift on the host hits both sides.
+# where S is BENCHMARK.json's run_seconds; the order within a pair
+# alternates so drift on the host hits both sides.
 # For each end-to-end metric it prints the base and candidate medians,
 # their ratio, and the base's interquartile spread as a share of its
 # median. It exits 1 when a candidate median is worse than the base's by
@@ -20,14 +20,13 @@
 # share of failed operations is higher than the base's.
 set -euo pipefail
 
-base_rev="${1:?usage: scripts/ab.sh BASE [PAIRS] [SECONDS] [WORKLOADS]}"
-pairs="${2:-10}"
-secs="${3:-}"
+base_rev="${1:?usage: scripts/ab.sh BASE}"
+pairs=10
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
 spec="$root/BENCHMARK.json"
-secs="${secs:-$(jq -r '.run_seconds' "$spec")}"
-workloads="${4:-$(jq -r '.workloads[].name' "$spec")}"
+secs="$(jq -r '.run_seconds' "$spec")"
+workloads="$(jq -r '.workloads[].name' "$spec")"
 
 tmp="$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")"
 cleanup() {
